@@ -27,7 +27,7 @@
 //! but never fatal.
 
 use skypeer_core::cached::CachedEngine;
-use skypeer_core::{EngineConfig, SkypeerEngine, Variant};
+use skypeer_core::{EngineConfig, RunOptions, SkypeerEngine, Variant};
 use skypeer_data::{DatasetKind, DatasetSpec, Query};
 use skypeer_netsim::cost::CostModel;
 use skypeer_netsim::des::LinkModel;
@@ -354,6 +354,11 @@ pub fn run_pinned() -> Vec<BenchEntry> {
     run_pinned_full().0
 }
 
+/// Default run options with `tracer` attached.
+fn traced(tracer: &Arc<MemTracer>) -> RunOptions {
+    RunOptions { tracer: Some(Arc::clone(tracer) as Arc<dyn Tracer>), ..RunOptions::default() }
+}
+
 /// [`run_pinned`] plus the per-`(figure, variant)` [`FigureDigest`]s
 /// built from the very same traced runs — so the scalar gate and the
 /// root-cause digests can never disagree about what was measured.
@@ -366,7 +371,7 @@ pub fn run_pinned_full() -> (Vec<BenchEntry>, Vec<FigureDigest>) {
             let tracer = Arc::new(MemTracer::new());
             let started = Instant::now();
             let out =
-                engine.run_query_traced(p.query, variant, Arc::clone(&tracer) as Arc<dyn Tracer>);
+                engine.run(p.query, variant, &RunOptions { comp_time: true, ..traced(&tracer) });
             let wall_ms = started.elapsed().as_secs_f64() * 1e3;
             let events = tracer.take();
             let m = MetricsRegistry::from_events(&events);
@@ -399,17 +404,9 @@ pub fn run_pinned_full() -> (Vec<BenchEntry>, Vec<FigureDigest>) {
         let mut cached = CachedEngine::new(&engine, 4 << 20);
         let started = Instant::now();
         let cold_tracer = Arc::new(MemTracer::new());
-        let cold = cached.run_query_traced(
-            p.query,
-            variant,
-            Some(Arc::clone(&cold_tracer) as Arc<dyn Tracer>),
-        );
+        let cold = cached.run(p.query, variant, &traced(&cold_tracer));
         let warm_tracer = Arc::new(MemTracer::new());
-        let warm = cached.run_query_traced(
-            p.query,
-            variant,
-            Some(Arc::clone(&warm_tracer) as Arc<dyn Tracer>),
-        );
+        let warm = cached.run(p.query, variant, &traced(&warm_tracer));
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         let mut events = cold_tracer.take();
         events.extend(warm_tracer.take());
@@ -444,12 +441,8 @@ pub fn run_pinned_full() -> (Vec<BenchEntry>, Vec<FigureDigest>) {
         // head-to-head with the SKYPEER variants on identical figures.
         let tracer = Arc::new(MemTracer::new());
         let started = Instant::now();
-        let out = engine.run_query_on_backend(
-            skypeer_core::BackendKind::Sampling,
-            p.query,
-            Variant::Ftpm,
-            Some(Arc::clone(&tracer) as Arc<dyn Tracer>),
-        );
+        let opts = RunOptions { backend: skypeer_core::BackendKind::Sampling, ..traced(&tracer) };
+        let out = engine.run(p.query, Variant::Ftpm, &opts);
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         let events = tracer.take();
         let m = MetricsRegistry::from_events(&events);

@@ -2,11 +2,10 @@
 //! percentiles and SLO verdicts out.
 //!
 //! [`run_soak`] drives a seeded [`MixedWorkloadSpec`] through the
-//! deterministic DES for each requested variant using the engine's
-//! single-simulation observed path
-//! ([`SkypeerEngine::run_query_observed`]): one simulation per query, a
-//! [`MemTracer`] on each, per-query rows streamed to the caller (JSONL),
-//! and per-variant aggregation into
+//! deterministic DES for each requested variant using
+//! [`SkypeerEngine::run`] without the zero-delay leg: one simulation per
+//! query, a [`MemTracer`] on each, per-query rows streamed to the caller
+//! (JSONL), and per-variant aggregation into
 //!
 //! * HDR latency and bytes histograms
 //!   ([`HdrHistogram`]) — p50/p90/p99/p999 within the documented
@@ -22,9 +21,9 @@
 
 use skypeer_cache::CacheStats;
 use skypeer_core::cached::CachedEngine;
-use skypeer_core::{backend_for, BackendKind};
+use skypeer_core::BackendKind;
 use skypeer_core::{AnswerFault, AuditSpec, AuditStats, AuditViolation, Auditor};
-use skypeer_core::{SkypeerEngine, Variant};
+use skypeer_core::{RunOptions, SkypeerEngine, Variant};
 use skypeer_data::{InitiatorMix, KMix, MixedWorkloadSpec, Query};
 use skypeer_netsim::des::LinkModel;
 use skypeer_netsim::obs::expose::hdr_prometheus;
@@ -362,32 +361,27 @@ pub fn run_soak(
                 }),
             _ => None,
         };
-        if let Some(id) = injected_drop {
-            engine.set_fault(Some(AnswerFault { drop_id: id }));
-        }
+        let fault = injected_drop.map(|drop_id| AnswerFault { drop_id });
         // A fresh cache per variant, so per-variant numbers stay
         // independent and comparable.
         let mut cached = spec.cache_bytes.map(|b| CachedEngine::new(engine, b));
         for (i, &q) in queries.iter().enumerate() {
             let tracer = Arc::new(MemTracer::new());
             let perturbed = spec.perturb.as_ref().filter(|p| i >= p.after);
+            let opts = RunOptions {
+                backend: spec.backend,
+                tracer: Some(Arc::clone(&tracer) as Arc<dyn Tracer>),
+                link_overrides: perturbed.map_or_else(Vec::new, |p| p.overrides.clone()),
+                fault,
+                ..RunOptions::default()
+            };
             let (out, refine_tests, served_from_cache) = match cached.as_mut() {
                 Some(c) => {
-                    let co = c.run_query_traced(
-                        q,
-                        variant,
-                        Some(Arc::clone(&tracer) as Arc<dyn Tracer>),
-                    );
+                    let co = c.run(q, variant, &opts);
                     let hit = co.served_from_cache();
                     (co.outcome, co.refine_tests, Some(hit))
                 }
-                None => {
-                    let tr = Some(Arc::clone(&tracer) as Arc<dyn Tracer>);
-                    let overrides: &[_] = perturbed.map_or(&[], |p| &p.overrides);
-                    let out =
-                        backend_for(spec.backend).run_observed(engine, q, variant, tr, overrides);
-                    (out, 0, None)
-                }
+                None => (engine.run(q, variant, &opts), 0, None),
             };
             // The audit: shadow-verify sampled answers against the
             // raw-data oracle; on cache-fronted runs, additionally
@@ -400,7 +394,8 @@ pub fn run_soak(
                     let before = aud.stats.violations;
                     aud.check_answer(i, q, &out.result_ids);
                     if cached.is_some() {
-                        let direct = engine.run_query_observed(q, variant, None);
+                        let direct =
+                            engine.run(q, variant, &RunOptions { fault, ..RunOptions::default() });
                         aud.crosscheck_cache(i, q, &out.result_ids, &direct.result_ids);
                     }
                     query_violations = aud.stats.violations - before;
@@ -475,9 +470,6 @@ pub fn run_soak(
                 served_from_cache,
                 audited,
             });
-        }
-        if injected_drop.is_some() {
-            engine.set_fault(None);
         }
         vs.slo = spec.slo.evaluate(variant.mnemonic(), &vs.latency_ns, &vs.bytes);
         vs.cache = cached.as_ref().map(|c| c.stats());

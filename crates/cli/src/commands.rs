@@ -1,7 +1,7 @@
 //! CLI subcommand implementations.
 
 use crate::args::{ArgError, Args};
-use skypeer_core::engine::{EngineConfig, QueryMetrics, SkypeerEngine};
+use skypeer_core::engine::{EngineConfig, QueryMetrics, RunOptions, SkypeerEngine};
 use skypeer_core::Variant;
 use skypeer_data::{DatasetKind, DatasetSpec, Query, WorkloadSpec};
 use skypeer_netsim::cost::CostModel;
@@ -174,12 +174,8 @@ pub fn query(args: &Args) -> Result<(), ArgError> {
     let backend = backend_from(args)?;
     let show: usize = args.get_or("show", 10)?;
     args.reject_unknown()?;
-    // The default backend keeps the original (golden-pinned) execution
-    // path and output; other backends report themselves and their rounds.
-    let out = match backend {
-        skypeer_core::BackendKind::Skypeer => engine.run_query(q, variant),
-        other => engine.run_query_on_backend(other, q, variant, None),
-    };
+    let out =
+        engine.run(q, variant, &RunOptions { backend, comp_time: true, ..RunOptions::default() });
     println!("query     : skyline on {} from SP{} via {variant}", q.subspace, q.initiator);
     if backend != skypeer_core::BackendKind::default() {
         println!("backend   : {backend} ({} rounds)", out.rounds);
@@ -236,33 +232,20 @@ pub fn trace(args: &Args) -> Result<(), ArgError> {
     };
 
     let tracer = Arc::new(MemTracer::new());
-    // The default backend keeps the original (golden-pinned) paths; other
-    // backends run through the trait seam with the same tracer/overrides.
-    let out = if backend != skypeer_core::BackendKind::default() {
-        skypeer_core::backend_for(backend).run_observed(
-            &engine,
-            q,
-            variant,
-            Some(Arc::clone(&tracer) as Arc<dyn Tracer>),
-            &overrides,
-        )
-    } else if overrides.is_empty() {
-        engine.run_query_traced(q, variant, Arc::clone(&tracer) as Arc<dyn Tracer>)
-    } else {
-        engine.run_query_observed_perturbed(
-            q,
-            variant,
-            &overrides,
-            Some(Arc::clone(&tracer) as Arc<dyn Tracer>),
-        )
+    let opts = RunOptions {
+        backend,
+        tracer: Some(Arc::clone(&tracer) as Arc<dyn Tracer>),
+        link_overrides: overrides,
+        ..RunOptions::default()
     };
+    let out = engine.run(q, variant, &opts);
     let events = tracer.take();
 
     println!("query     : skyline on {} from SP{} via {variant}", q.subspace, q.initiator);
     if backend != skypeer_core::BackendKind::default() {
         println!("backend   : {backend} ({} rounds)", out.rounds);
     }
-    for (from, to, link) in &overrides {
+    for (from, to, link) in &opts.link_overrides {
         println!(
             "perturbed : SP{from} -> SP{to} latency {} ns, {} ns/byte",
             link.latency_ns, link.ns_per_byte
@@ -369,7 +352,7 @@ pub fn explain(args: &Args) -> Result<(), ArgError> {
 /// printed. `--variant` picks the SKYPEER side's variant (default FTPM);
 /// `--json` emits the machine form.
 pub fn compare(args: &Args) -> Result<(), ArgError> {
-    use skypeer_core::{backend_for, BackendKind};
+    use skypeer_core::BackendKind;
     use skypeer_netsim::obs::{json, MemTracer, MetricsRegistry, Tracer};
     use std::sync::Arc;
 
@@ -403,13 +386,12 @@ pub fn compare(args: &Args) -> Result<(), ArgError> {
             .iter()
             .map(|&backend| {
                 let tracer = Arc::new(MemTracer::new());
-                let out = backend_for(backend).run_observed(
-                    &engine,
-                    p.query,
-                    variant,
-                    Some(Arc::clone(&tracer) as Arc<dyn Tracer>),
-                    &[],
-                );
+                let opts = RunOptions {
+                    backend,
+                    tracer: Some(Arc::clone(&tracer) as Arc<dyn Tracer>),
+                    ..RunOptions::default()
+                };
+                let out = engine.run(p.query, variant, &opts);
                 let m = MetricsRegistry::from_events(&tracer.take());
                 Measured {
                     backend,
@@ -838,7 +820,12 @@ pub fn faults(args: &Args) -> Result<(), ArgError> {
     }
     let failures: Vec<(usize, u64)> = fail.iter().map(|&sp| (sp, fail_at_ms * 1_000_000)).collect();
     let healthy = engine.run_query(q, variant);
-    let degraded = engine.run_query_with_failures(q, variant, &failures, timeout_s * 1_000_000_000);
+    let opts = RunOptions {
+        failures,
+        child_timeout_ns: Some(timeout_s * 1_000_000_000),
+        ..RunOptions::default()
+    };
+    let degraded = engine.run(q, variant, &opts);
     println!(
         "query: skyline on {} via {variant}; failing SPs {fail:?} at t={fail_at_ms}ms",
         q.subspace
@@ -1279,12 +1266,12 @@ pub fn top(args: &Args) -> Result<(), ArgError> {
     let title = format!("{} x{queries} (seed {wl_seed})", variant.mnemonic());
     for (i, q) in workload.generate().into_iter().enumerate() {
         let tracer = Arc::new(MemTracer::new());
-        let tr = Some(Arc::clone(&tracer) as Arc<dyn Tracer>);
-        let out = if !overrides.is_empty() && i >= perturb_after {
-            engine.run_query_observed_perturbed(q, variant, &overrides, tr)
-        } else {
-            engine.run_query_observed(q, variant, tr)
+        let opts = RunOptions {
+            tracer: Some(Arc::clone(&tracer) as Arc<dyn Tracer>),
+            link_overrides: if i >= perturb_after { overrides.clone() } else { Vec::new() },
+            ..RunOptions::default()
         };
+        let out = engine.run(q, variant, &opts);
         let m = MetricsRegistry::from_events(&tracer.take());
         let tick = i as u64;
         let mut samples = vec![

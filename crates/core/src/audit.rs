@@ -14,7 +14,7 @@
 //! subspace.
 //!
 //! For drills, [`AnswerFault`] corrupts one in-flight ext-skyline entry
-//! (removing a point id from every `Answer` payload) without touching
+//! (removing a point id from every answer payload) without touching
 //! timing or byte accounting: invisible to every performance metric,
 //! caught only by the audit.
 
@@ -28,7 +28,9 @@ use skypeer_skyline::{dominance, PointSet, Subspace};
 use std::collections::{HashMap, HashSet};
 
 /// Silent in-flight corruption: removes `drop_id` from every
-/// [`Msg::Answer`] payload crossing the wire. The message stays
+/// answer-bearing payload crossing the wire — SKYPEER's [`Msg::Answer`]
+/// and the sampling backend's [`Msg::Candidates`]. Installed per run via
+/// [`crate::RunOptions::fault`]. The message stays
 /// well-formed (`done` / `complete` flags untouched) and its declared
 /// wire size was fixed at send time, so the drill changes no timing and
 /// no byte accounting — only the decoded answer.
@@ -43,7 +45,8 @@ impl AnswerFault {
     /// with the victim removed, or `None` when the payload is not an
     /// answer containing it (leave it untouched).
     pub fn tamper(&self, payload: &[u8]) -> Option<Vec<u8>> {
-        let Msg::Answer { qid, done, complete, points } = Msg::decode(payload)? else {
+        let mut msg = Msg::decode(payload)?;
+        let (Msg::Answer { points, .. } | Msg::Candidates { points, .. }) = &mut msg else {
             return None;
         };
         let set = points.points();
@@ -51,16 +54,8 @@ impl AnswerFault {
         if keep.len() == set.len() {
             return None;
         }
-        let kept = set.gather(&keep);
-        Some(
-            Msg::Answer {
-                qid,
-                done,
-                complete,
-                points: skypeer_skyline::SortedDataset::from_set(&kept),
-            }
-            .encode(),
-        )
+        *points = skypeer_skyline::SortedDataset::from_set(&set.gather(&keep));
+        Some(msg.encode())
     }
 }
 
@@ -399,7 +394,9 @@ impl Auditor {
 #[cfg(test)]
 mod unit {
     use super::*;
-    use crate::engine::{EngineConfig, RoutingMode, SkypeerEngine};
+    use crate::backend::BackendKind;
+    use crate::cached::CachedEngine;
+    use crate::engine::{EngineConfig, QueryOutcome, RoutingMode, RunOptions, SkypeerEngine};
     use crate::variants::Variant;
     use skypeer_data::{DatasetKind, DatasetSpec, WorkloadSpec};
     use skypeer_netsim::cost::CostModel;
@@ -544,25 +541,27 @@ mod unit {
         assert!(json.contains(r#""stage":"in-skyline""#), "{json}");
     }
 
-    #[test]
-    fn answer_fault_drops_exactly_one_id_and_audit_catches_it() {
-        let engine = small_engine();
-        let q = Query { subspace: Subspace::from_dims(&[0, 1, 2]), initiator: 1 };
-        let clean = engine.run_query_observed(q, Variant::Ftpm, None);
-        // Pick a victim homed away from the initiator so it must cross
-        // the wire.
-        let resolver = LineageResolver::new(&engine);
-        let victim = *clean
-            .result_ids
+    /// A point of the true skyline of `q` homed away from the initiator,
+    /// so it must cross the wire.
+    fn remote_victim(engine: &SkypeerEngine, q: Query, answer: &[u64]) -> u64 {
+        let resolver = LineageResolver::new(engine);
+        *answer
             .iter()
             .find(|&&id| {
                 let l = resolver.lineage(id, q.subspace);
                 l.origin.as_ref().map(|o| o.super_peer) != Some(q.initiator)
             })
-            .expect("some answer point is remote");
-        engine.set_fault(Some(AnswerFault { drop_id: victim }));
-        let faulty = engine.run_query_observed(q, Variant::Ftpm, None);
-        engine.set_fault(None);
+            .expect("some answer point is remote")
+    }
+
+    #[test]
+    fn answer_fault_drops_exactly_one_id_and_audit_catches_it() {
+        let engine = small_engine();
+        let q = Query { subspace: Subspace::from_dims(&[0, 1, 2]), initiator: 1 };
+        let clean = engine.run(q, Variant::Ftpm, &RunOptions::default());
+        let victim = remote_victim(&engine, q, &clean.result_ids);
+        let fault = Some(AnswerFault { drop_id: victim });
+        let faulty = engine.run(q, Variant::Ftpm, &RunOptions { fault, ..RunOptions::default() });
         assert!(!faulty.result_ids.contains(&victim), "the fault must remove the victim");
         assert_eq!(faulty.volume_bytes, clean.volume_bytes, "tamper must not change bytes");
         assert_eq!(faulty.messages, clean.messages, "tamper must not change messages");
@@ -571,6 +570,42 @@ mod unit {
         assert!(auditor.check_answer(0, q, &faulty.result_ids));
         let v = &auditor.violations[0];
         assert!(v.missing.iter().any(|l| l.id == victim), "violation names the dropped point");
+    }
+
+    #[test]
+    fn answer_fault_applies_on_every_path() {
+        let engine = small_engine();
+        let q = Query { subspace: Subspace::from_dims(&[0, 1, 2]), initiator: 1 };
+        let truth = engine.centralized_skyline(q.subspace);
+        let victim = remote_victim(&engine, q, &truth);
+        let fault = Some(AnswerFault { drop_id: victim });
+        let check = |path: &str, clean: &QueryOutcome, faulty: &QueryOutcome| {
+            assert_eq!(clean.result_ids, truth, "{path}: the clean run is exact");
+            assert!(!faulty.result_ids.contains(&victim), "{path}: the victim must be gone");
+            assert_eq!(faulty.volume_bytes, clean.volume_bytes, "{path}: bytes unchanged");
+            assert_eq!(faulty.messages, clean.messages, "{path}: messages unchanged");
+        };
+
+        // Both legs tamper, so their cross-check agrees on the short answer.
+        let two_legs = RunOptions { comp_time: true, ..RunOptions::default() };
+        let clean = engine.run(q, Variant::Ftpm, &two_legs);
+        let faulty = engine.run(q, Variant::Ftpm, &RunOptions { fault, ..two_legs.clone() });
+        check("comp_time", &clean, &faulty);
+        assert!(faulty.comp_time_ns > 0);
+
+        let clean = CachedEngine::new(&engine, 4 << 20).run(q, Variant::Ftpm, &two_legs);
+        let faulty = CachedEngine::new(&engine, 4 << 20).run(
+            q,
+            Variant::Ftpm,
+            &RunOptions { fault, ..two_legs.clone() },
+        );
+        assert!(!clean.served_from_cache() && !faulty.served_from_cache());
+        check("cache miss", &clean.outcome, &faulty.outcome);
+
+        let sampling = RunOptions { backend: BackendKind::Sampling, ..two_legs };
+        let clean = engine.run(q, Variant::Ftpm, &sampling);
+        let faulty = engine.run(q, Variant::Ftpm, &RunOptions { fault, ..sampling.clone() });
+        check("sampling", &clean, &faulty);
     }
 
     #[test]

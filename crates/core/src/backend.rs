@@ -11,7 +11,7 @@
 //! Two implementations ship today:
 //!
 //! * [`SkypeerBackend`] — the paper's threshold protocol (all five
-//!   variants), delegating to the existing [`SkypeerEngine`] query paths.
+//!   variants), delegating to the [`SkypeerEngine`]'s own query path.
 //!   Rounds scale with backbone diameter (query flood down, answers up).
 //! * [`SamplingBackend`] — Zhang & Zhang's sampling-based constant-round
 //!   algorithm ("Computing Skylines on Distributed Data",
@@ -34,12 +34,12 @@ use std::time::Instant;
 
 use skypeer_data::Query;
 use skypeer_netsim::cost::WorkReport;
-use skypeer_netsim::des::{Behavior, Context, LinkModel, Sim};
-use skypeer_netsim::obs::{ProtoEvent, QueryPhase, Tracer};
+use skypeer_netsim::des::{Behavior, Context};
+use skypeer_netsim::obs::{ProtoEvent, QueryPhase};
 use skypeer_skyline::merge::merge_sorted;
 use skypeer_skyline::{Dominance, PointSet, SortedDataset, Subspace};
 
-use crate::engine::{QueryOutcome, SkypeerEngine};
+use crate::engine::{run_legs, QueryOutcome, RunOptions, SkypeerEngine};
 use crate::msg::Msg;
 use crate::node::FinalAnswer;
 use crate::planner::IndexPolicy;
@@ -89,7 +89,8 @@ pub fn parse_backend(s: &str) -> Result<BackendKind, String> {
 /// network: it owns the query lifecycle — planning, per-round message
 /// exchange on the DES, and answer assembly — while the engine supplies
 /// the shared substrate (topology, per-super-peer stores, link and cost
-/// models, index policy, fault injection).
+/// models, index policy) and [`RunOptions`] the run's knobs (tracer, link
+/// overrides, answer fault, failures, zero-delay leg).
 ///
 /// Contract every implementation must honor:
 ///
@@ -101,24 +102,23 @@ pub fn parse_backend(s: &str) -> Result<BackendKind, String> {
 /// * **Honest accounting** — every byte crossing the wire is a real
 ///   encoded message through [`crate::msg::Msg`]; computation is reported
 ///   via [`WorkReport`] so the cost model prices it.
-/// * **Observability** — tracing must ride the standard [`Tracer`] hooks
-///   so trace/explain/soak/audit tools work unmodified.
+/// * **Observability** — tracing must ride the standard
+///   [`skypeer_netsim::obs::Tracer`] hooks so trace/explain/soak/audit
+///   tools work unmodified; building the simulation through the crate's
+///   shared helper applies every [`RunOptions`] knob the same way.
 pub trait DistributedSkylineBackend {
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
 
-    /// Executes one query in a single simulation with the engine's
-    /// configured links, optionally traced and with per-link overrides
-    /// (`comp_time_ns` is reported as 0, as on the engine's observed
-    /// path). `variant` selects the SKYPEER strategy; backends without a
-    /// variant dimension ignore it.
-    fn run_observed(
+    /// Executes one query over `engine`'s network as `opts` says (its
+    /// `backend` field is the caller's business). `variant` selects the
+    /// SKYPEER strategy; backends without a variant dimension ignore it.
+    fn run(
         &self,
         engine: &SkypeerEngine,
         query: Query,
         variant: Variant,
-        tracer: Option<Arc<dyn Tracer>>,
-        link_overrides: &[(usize, usize, LinkModel)],
+        opts: &RunOptions,
     ) -> QueryOutcome;
 }
 
@@ -130,21 +130,22 @@ impl DistributedSkylineBackend for SkypeerBackend {
         BackendKind::Skypeer
     }
 
-    fn run_observed(
+    fn run(
         &self,
         engine: &SkypeerEngine,
         query: Query,
         variant: Variant,
-        tracer: Option<Arc<dyn Tracer>>,
-        link_overrides: &[(usize, usize, LinkModel)],
+        opts: &RunOptions,
     ) -> QueryOutcome {
-        engine.run_query_observed_perturbed(query, variant, link_overrides, tracer)
+        engine.run_skypeer(query, variant, opts)
     }
 }
 
 /// Zhang & Zhang's sampling-based constant-round backend (see the module
 /// docs for the protocol). The `variant` argument is ignored: the
-/// algorithm has no threshold/merging axes.
+/// algorithm has no threshold/merging axes. It has no child timeouts
+/// either: with a super-peer crashed through [`RunOptions::failures`] the
+/// coordinator never finishes and the run panics.
 pub struct SamplingBackend;
 
 impl DistributedSkylineBackend for SamplingBackend {
@@ -152,67 +153,36 @@ impl DistributedSkylineBackend for SamplingBackend {
         BackendKind::Sampling
     }
 
-    fn run_observed(
+    fn run(
         &self,
         engine: &SkypeerEngine,
         query: Query,
         _variant: Variant,
-        tracer: Option<Arc<dyn Tracer>>,
-        link_overrides: &[(usize, usize, LinkModel)],
+        opts: &RunOptions,
     ) -> QueryOutcome {
         let qid = engine.alloc_qid();
         let stores = engine.shared_stores();
         let n = stores.len();
-        let nodes: Vec<SamplingNode> = (0..n)
-            .map(|sp| {
-                let init = (sp == query.initiator).then_some(SamplingInit {
-                    qid,
-                    subspace: query.subspace,
-                    flavour: Dominance::Standard,
-                });
-                SamplingNode::new(
-                    sp,
-                    n,
-                    Arc::clone(&stores[sp]),
-                    engine.current_query_policy(),
-                    init,
-                )
-            })
-            .collect();
-        let mut sim = Sim::new(nodes, engine.config().link, engine.config().cost);
-        for &(from, to, model) in link_overrides {
-            sim = sim.with_link_override(from, to, model);
-        }
-        if let Some(tracer) = tracer {
-            sim = sim.with_tracer(tracer);
-        }
-        if let Some(fault) = engine.current_fault() {
-            sim = sim.with_tamper_hook(move |_, _, payload| fault.tamper(payload));
-        }
-        let out = sim.run(query.initiator);
-        let answer = out
-            .nodes
-            .into_iter()
-            .nth(query.initiator)
-            .expect("initiator exists")
-            .into_outcome()
-            .expect("coordinator must hold the final result after completion");
-        assert!(answer.complete, "failure-free runs must be complete");
-        let mut result_ids: Vec<u64> =
-            (0..answer.result.len()).map(|i| answer.result.points().id(i)).collect();
-        result_ids.sort_unstable();
-        QueryOutcome {
-            result_ids,
-            complete: answer.complete,
-            result: answer.result,
-            total_time_ns: out.stats.finished_at.expect("query must complete"),
-            comp_time_ns: 0,
-            volume_bytes: out.stats.bytes,
-            messages: out.stats.messages,
-            dropped: out.stats.dropped,
-            compute_ns_total: out.stats.compute_ns_total,
-            rounds: out.stats.rounds,
-        }
+        let nodes = || {
+            (0..n)
+                .map(|sp| {
+                    let init = (sp == query.initiator).then_some(SamplingInit {
+                        qid,
+                        subspace: query.subspace,
+                        flavour: opts.flavour,
+                    });
+                    SamplingNode::new(
+                        sp,
+                        n,
+                        Arc::clone(&stores[sp]),
+                        engine.current_query_policy(),
+                        init,
+                    )
+                })
+                .collect()
+        };
+        let cfg = engine.config();
+        run_legs(cfg.link, cfg.cost, query.initiator, opts, nodes, SamplingNode::into_outcome)
     }
 }
 
@@ -221,22 +191,6 @@ pub fn backend_for(kind: BackendKind) -> &'static dyn DistributedSkylineBackend 
     match kind {
         BackendKind::Skypeer => &SkypeerBackend,
         BackendKind::Sampling => &SamplingBackend,
-    }
-}
-
-impl SkypeerEngine {
-    /// [`SkypeerEngine::run_query_observed`] routed through a backend:
-    /// the shared entry point of the soak runner, the CLI, and the
-    /// head-to-head comparison. `BackendKind::Skypeer` is byte-identical
-    /// to calling the engine's observed path directly.
-    pub fn run_query_on_backend(
-        &self,
-        backend: BackendKind,
-        query: Query,
-        variant: Variant,
-        tracer: Option<Arc<dyn Tracer>>,
-    ) -> QueryOutcome {
-        backend_for(backend).run_observed(self, query, variant, tracer, &[])
     }
 }
 
@@ -486,10 +440,16 @@ mod unit {
     use crate::verify::{exact_skyline_ids, global_dataset};
     use skypeer_data::{DatasetKind, DatasetSpec};
     use skypeer_netsim::cost::CostModel;
+    use skypeer_netsim::des::LinkModel;
     use skypeer_netsim::topology::TopologySpec;
     use skypeer_skyline::DominanceIndex;
     use std::cell::OnceCell;
     use std::rc::Rc;
+
+    /// Default options on `backend`.
+    fn on(backend: BackendKind) -> RunOptions {
+        RunOptions { backend, ..RunOptions::default() }
+    }
 
     fn test_config(kind: DatasetKind, seed: u64) -> EngineConfig {
         let n_superpeers = 6;
@@ -559,7 +519,7 @@ mod unit {
                 let want = exact_skyline_ids(all, u, usize::MAX);
                 let q = Query { subspace: u, initiator: mask as usize % 6 };
                 for kind in BackendKind::ALL {
-                    let out = engine.run_query_on_backend(kind, q, Variant::Ftpm, None);
+                    let out = engine.run(q, Variant::Ftpm, &on(kind));
                     assert!(out.complete);
                     assert_eq!(out.result_ids, want, "backend {kind} U={u} clustered={clustered}");
                 }
@@ -573,23 +533,9 @@ mod unit {
         let engine = &fx.0;
         for initiator in 0..6 {
             let q = Query { subspace: Subspace::from_dims(&[0, 2]), initiator };
-            let out = engine.run_query_on_backend(BackendKind::Sampling, q, Variant::Ftpm, None);
+            let out = engine.run(q, Variant::Ftpm, &on(BackendKind::Sampling));
             assert_eq!(out.rounds, 2, "sampling is constant-round from initiator {initiator}");
         }
-    }
-
-    #[test]
-    fn skypeer_backend_is_identical_to_the_engine_path() {
-        let fx = fixture(false);
-        let engine = &fx.0;
-        let q = Query { subspace: Subspace::from_dims(&[1, 3]), initiator: 2 };
-        let direct = engine.run_query_observed(q, Variant::Rtpm, None);
-        let routed = engine.run_query_on_backend(BackendKind::Skypeer, q, Variant::Rtpm, None);
-        assert_eq!(direct.result_ids, routed.result_ids);
-        assert_eq!(direct.total_time_ns, routed.total_time_ns);
-        assert_eq!(direct.volume_bytes, routed.volume_bytes);
-        assert_eq!(direct.messages, routed.messages);
-        assert_eq!(direct.rounds, routed.rounds);
     }
 
     #[test]
@@ -597,8 +543,8 @@ mod unit {
         let fx = fixture(true);
         let engine = &fx.0;
         let q = Query { subspace: Subspace::from_dims(&[0, 1, 3]), initiator: 4 };
-        let a = engine.run_query_on_backend(BackendKind::Sampling, q, Variant::Ftpm, None);
-        let b = engine.run_query_on_backend(BackendKind::Sampling, q, Variant::Ftpm, None);
+        let a = engine.run(q, Variant::Ftpm, &on(BackendKind::Sampling));
+        let b = engine.run(q, Variant::Ftpm, &on(BackendKind::Sampling));
         assert_eq!(a.result_ids, b.result_ids);
         assert_eq!(a.total_time_ns, b.total_time_ns);
         assert_eq!(a.volume_bytes, b.volume_bytes);
@@ -611,14 +557,13 @@ mod unit {
         let fx = fixture(false);
         let engine = &fx.0;
         let q = Query { subspace: Subspace::from_dims(&[0, 3]), initiator: 1 };
-        let plain = engine.run_query_on_backend(BackendKind::Sampling, q, Variant::Ftpm, None);
+        let plain = engine.run(q, Variant::Ftpm, &on(BackendKind::Sampling));
         let tracer = Arc::new(MemTracer::new());
-        let traced = engine.run_query_on_backend(
-            BackendKind::Sampling,
-            q,
-            Variant::Ftpm,
-            Some(Arc::clone(&tracer) as Arc<dyn Tracer>),
-        );
+        let opts = RunOptions {
+            tracer: Some(Arc::clone(&tracer) as Arc<dyn skypeer_netsim::obs::Tracer>),
+            ..on(BackendKind::Sampling)
+        };
+        let traced = engine.run(q, Variant::Ftpm, &opts);
         assert_eq!(plain.result_ids, traced.result_ids);
         assert_eq!(plain.total_time_ns, traced.total_time_ns);
         assert_eq!(plain.volume_bytes, traced.volume_bytes);
@@ -678,7 +623,7 @@ mod unit {
                 let want = exact_skyline_ids(all, u, usize::MAX);
                 let q = Query { subspace: u, initiator };
                 let kind = BackendKind::ALL[backend_idx];
-                let out = engine.run_query_on_backend(kind, q, Variant::Rtfm, None);
+                let out = engine.run(q, Variant::Rtfm, &on(kind));
                 prop_assert!(out.complete);
                 prop_assert_eq!(out.result_ids, want);
             }

@@ -2,8 +2,8 @@
 //! [`SubspaceCache`].
 //!
 //! The miss path deliberately runs the backbone query with the
-//! **Extended** dominance flavour
-//! ([`SkypeerEngine::run_query_ext_observed`]): the initiator then holds
+//! **Extended** dominance flavour ([`RunOptions::flavour`]): the
+//! initiator then holds
 //! the global `ext-SKY_U`, which by the paper's Observation 4 (generalized
 //! in [`skypeer_skyline::extended::refine_from_ext`]) answers not just the
 //! query at hand but *every* later query for a contained subspace — with a
@@ -20,9 +20,9 @@ use skypeer_cache::{CacheAnswer, CacheConfig, CacheStats, FlightRole, HitKind, S
 use skypeer_data::Query;
 use skypeer_netsim::cost::WorkReport;
 use skypeer_skyline::extended::refine_from_ext;
-use skypeer_skyline::Subspace;
+use skypeer_skyline::{Dominance, Subspace};
 
-use crate::engine::{QueryOutcome, SkypeerEngine};
+use crate::engine::{sorted_ids, QueryOutcome, RunOptions, SkypeerEngine};
 use crate::variants::Variant;
 
 /// How the cache participated in one query.
@@ -140,21 +140,16 @@ impl<'a> CachedEngine<'a> {
     /// Executes one query, consulting the cache first. A miss runs the
     /// Extended-flavour backbone query and admits its result.
     pub fn run_query(&mut self, query: Query, variant: Variant) -> CachedOutcome {
-        self.run_query_traced(query, variant, None)
+        self.run(query, variant, &RunOptions::default())
     }
 
-    /// [`CachedEngine::run_query`] with a tracer observing the backbone
-    /// execution of a miss. Hits perform no simulation, so their trace is
-    /// empty.
-    pub fn run_query_traced(
-        &mut self,
-        query: Query,
-        variant: Variant,
-        tracer: Option<std::sync::Arc<dyn skypeer_netsim::obs::Tracer>>,
-    ) -> CachedOutcome {
+    /// [`CachedEngine::run_query`] with `opts` applied to the backbone
+    /// execution of a miss, whose flavour is forced to Extended. Hits
+    /// perform no simulation, so a tracer sees nothing of them.
+    pub fn run(&mut self, query: Query, variant: Variant, opts: &RunOptions) -> CachedOutcome {
         match self.cache.lookup(query.subspace) {
             Some(ans) => self.hit_outcome(ans, None),
-            None => self.run_miss_traced(query, variant, tracer),
+            None => self.run_miss(query, variant, opts),
         }
     }
 
@@ -177,44 +172,28 @@ impl<'a> CachedEngine<'a> {
                     Some(ans) => self.hit_outcome(ans, Some(leader)),
                     // The leader's result was refused admission (e.g.
                     // oversized): fall back to executing ourselves.
-                    None => self.run_miss(q, variant),
+                    None => self.run_miss(q, variant, &RunOptions::default()),
                 },
             })
             .collect()
     }
 
-    fn run_miss(&mut self, query: Query, variant: Variant) -> CachedOutcome {
-        self.run_miss_traced(query, variant, None)
-    }
-
-    fn run_miss_traced(
-        &mut self,
-        query: Query,
-        variant: Variant,
-        tracer: Option<std::sync::Arc<dyn skypeer_netsim::obs::Tracer>>,
-    ) -> CachedOutcome {
-        let ext = self.engine.run_query_ext_observed(query, variant, tracer);
+    fn run_miss(&mut self, query: Query, variant: Variant, opts: &RunOptions) -> CachedOutcome {
+        let opts = RunOptions { flavour: Dominance::Extended, ..opts.clone() };
+        let ext = self.engine.run(query, variant, &opts);
         let refined = refine_from_ext(&ext.result, query.subspace, self.engine.config().index);
         let refine_ns = self.engine.config().cost.service_ns(&WorkReport::from_counts(
             refined.stats.dominance_tests,
             refined.stats.points_scanned,
         ));
         self.cache.admit(query.subspace, ext.result, ext.volume_bytes);
-        let mut result_ids: Vec<u64> =
-            (0..refined.result.len()).map(|i| refined.result.points().id(i)).collect();
-        result_ids.sort_unstable();
         CachedOutcome {
             outcome: QueryOutcome {
-                result_ids,
-                complete: ext.complete,
+                result_ids: sorted_ids(&refined.result),
                 result: refined.result,
                 total_time_ns: ext.total_time_ns + refine_ns,
-                comp_time_ns: 0,
-                volume_bytes: ext.volume_bytes,
-                messages: ext.messages,
-                dropped: ext.dropped,
                 compute_ns_total: ext.compute_ns_total + refine_ns,
-                rounds: ext.rounds,
+                ..ext
             },
             role: CacheRole::Miss,
             refine_tests: refined.stats.dominance_tests,

@@ -16,14 +16,16 @@ use std::sync::Arc;
 use skypeer_cache::{CacheConfig, CacheStats, SubspaceCache};
 use skypeer_data::Query;
 use skypeer_netsim::cost::{CostModel, WorkReport};
-use skypeer_netsim::des::{LinkModel, Sim};
+use skypeer_netsim::des::LinkModel;
 use skypeer_netsim::topology::Topology;
 use skypeer_skyline::extended::refine_from_ext;
 use skypeer_skyline::merge::merge_sorted;
 use skypeer_skyline::{Dominance, DominanceIndex, PointSet, SortedDataset, Subspace};
 
+use crate::engine::{run_legs, sorted_ids, superpeer_nodes, QueryOutcome, RunOptions};
 use crate::node::{InitQuery, SuperPeerNode};
-use crate::preprocess::SuperPeerStore;
+use crate::planner::IndexPolicy;
+use crate::preprocess::join_peer;
 use crate::variants::Variant;
 
 /// One step of a churn scenario.
@@ -80,7 +82,11 @@ pub struct ChurnQueryReport {
 /// The evolving network state of a churn scenario.
 pub struct ChurnRunner {
     topology: Topology,
-    stores: Vec<SuperPeerStore>,
+    /// Each super-peer's store, shared with the nodes of every query's
+    /// simulation; a join swaps in the merged store.
+    stores: Vec<Arc<SortedDataset>>,
+    /// Raw points held by each super-peer's attached peers.
+    raw_points: Vec<usize>,
     alive: Vec<bool>,
     dim: usize,
     index: DominanceIndex,
@@ -109,7 +115,8 @@ impl ChurnRunner {
         let n = topology.len();
         ChurnRunner {
             topology,
-            stores: (0..n).map(|_| SuperPeerStore::empty(dim)).collect(),
+            stores: (0..n).map(|_| Arc::new(SortedDataset::empty(dim))).collect(),
+            raw_points: vec![0; n],
             alive: vec![true; n],
             dim,
             index,
@@ -138,9 +145,14 @@ impl ChurnRunner {
         self.cache.as_ref().map(|c| c.stats())
     }
 
-    /// The store currently held by super-peer `sp`.
-    pub fn store(&self, sp: usize) -> &SuperPeerStore {
+    /// The merged ext-skyline currently stored at super-peer `sp`.
+    pub fn store(&self, sp: usize) -> &SortedDataset {
         &self.stores[sp]
+    }
+
+    /// Raw points held by the peers attached to super-peer `sp`.
+    pub fn raw_points(&self, sp: usize) -> usize {
+        self.raw_points[sp]
     }
 
     /// Whether super-peer `sp` is currently up.
@@ -155,16 +167,12 @@ impl ChurnRunner {
             .iter()
             .zip(&self.alive)
             .filter(|(_, &alive)| alive)
-            .map(|(s, _)| &s.store)
+            .map(|(s, _)| s.as_ref())
             .collect();
         if lists.is_empty() {
             return Vec::new();
         }
-        let merged = merge_sorted(&lists, u, Dominance::Standard, f64::INFINITY, self.index);
-        let mut ids: Vec<u64> =
-            (0..merged.result.len()).map(|i| merged.result.points().id(i)).collect();
-        ids.sort_unstable();
-        ids
+        sorted_ids(&merge_sorted(&lists, u, Dominance::Standard, f64::INFINITY, self.index).result)
     }
 
     /// Applies one event. Query events return a report; the others return
@@ -178,7 +186,10 @@ impl ChurnRunner {
         match event {
             ChurnEvent::PeerJoin { superpeer, points } => {
                 assert!(self.alive[superpeer], "cannot join a dead super-peer");
-                self.stores[superpeer].join_peer(&points, self.index);
+                // No simulation holds the store between queries, so this
+                // merges in place instead of copying.
+                join_peer(Arc::make_mut(&mut self.stores[superpeer]), &points, self.index);
+                self.raw_points[superpeer] += points.len();
                 self.invalidate_cache();
                 None
             }
@@ -204,69 +215,49 @@ impl ChurnRunner {
         }
     }
 
+    /// Executes one query. With the cache on, a (non-stale) covering
+    /// entry answers locally; a miss runs the backbone query with the
+    /// **Extended** flavour so its result is admissible for every
+    /// contained subspace, then refines locally to the standard skyline.
+    /// Incomplete results (super-peers down) are never admitted.
     fn run_query(&mut self, query: Query, variant: Variant) -> ChurnQueryReport {
         assert!(self.alive[query.initiator], "initiator is down");
-        if self.cache.is_some() {
-            return self.run_query_cached(query, variant);
-        }
-        let run = self.run_distributed(query, variant, Dominance::Standard);
-        let mut result_ids: Vec<u64> =
-            (0..run.result.len()).map(|i| run.result.points().id(i)).collect();
-        result_ids.sort_unstable();
-        let exact = result_ids == self.live_skyline(query.subspace);
-        ChurnQueryReport {
-            result_ids,
-            complete: run.complete,
-            exact_for_live_data: exact,
-            total_time_ns: run.total_time_ns,
-            volume_bytes: run.volume_bytes,
-            served_from_cache: false,
-        }
-    }
-
-    /// Cache-first query path: a (non-stale) covering entry answers
-    /// locally; a miss runs the backbone query with the **Extended**
-    /// flavour so its result is admissible for every contained subspace,
-    /// then refines locally to the standard skyline. Incomplete results
-    /// (super-peers down) are never admitted.
-    fn run_query_cached(&mut self, query: Query, variant: Variant) -> ChurnQueryReport {
-        let cache = self.cache.as_mut().expect("cached path requires a cache");
-        if let Some(ans) = cache.lookup(query.subspace) {
-            let refine_ns = self.cost.service_ns(&WorkReport::from_counts(
-                ans.refine_stats.dominance_tests,
-                ans.refine_stats.points_scanned,
-            ));
-            let exact = ans.result_ids == self.live_skyline(query.subspace);
-            return ChurnQueryReport {
+        let mut report = match self.cache.as_mut().and_then(|c| c.lookup(query.subspace)) {
+            Some(ans) => ChurnQueryReport {
                 result_ids: ans.result_ids,
                 complete: true,
-                exact_for_live_data: exact,
-                total_time_ns: refine_ns,
+                exact_for_live_data: false,
+                total_time_ns: self.cost.service_ns(&WorkReport::from_counts(
+                    ans.refine_stats.dominance_tests,
+                    ans.refine_stats.points_scanned,
+                )),
                 volume_bytes: 0,
                 served_from_cache: true,
-            };
-        }
-        let run = self.run_distributed(query, variant, Dominance::Extended);
-        let refined = refine_from_ext(&run.result, query.subspace, self.index);
-        let mut result_ids: Vec<u64> =
-            (0..refined.result.len()).map(|i| refined.result.points().id(i)).collect();
-        result_ids.sort_unstable();
-        if run.complete {
-            self.cache.as_mut().expect("cached path requires a cache").admit(
-                query.subspace,
-                run.result,
-                run.volume_bytes,
-            );
-        }
-        let exact = result_ids == self.live_skyline(query.subspace);
-        ChurnQueryReport {
-            result_ids,
-            complete: run.complete,
-            exact_for_live_data: exact,
-            total_time_ns: run.total_time_ns,
-            volume_bytes: run.volume_bytes,
-            served_from_cache: false,
-        }
+            },
+            None => {
+                let cached = self.cache.is_some();
+                let flavour = if cached { Dominance::Extended } else { Dominance::Standard };
+                let run = self.run_distributed(query, variant, flavour);
+                let result_ids = if cached {
+                    sorted_ids(&refine_from_ext(&run.result, query.subspace, self.index).result)
+                } else {
+                    run.result_ids
+                };
+                if let Some(cache) = self.cache.as_mut().filter(|_| run.complete) {
+                    cache.admit(query.subspace, run.result, run.volume_bytes);
+                }
+                ChurnQueryReport {
+                    result_ids,
+                    complete: run.complete,
+                    exact_for_live_data: false,
+                    total_time_ns: run.total_time_ns,
+                    volume_bytes: run.volume_bytes,
+                    served_from_cache: false,
+                }
+            }
+        };
+        report.exact_for_live_data = report.result_ids == self.live_skyline(query.subspace);
+        report
     }
 
     fn run_distributed(
@@ -274,47 +265,32 @@ impl ChurnRunner {
         query: Query,
         variant: Variant,
         flavour: Dominance,
-    ) -> DistributedRun {
+    ) -> QueryOutcome {
         let qid = self.next_qid;
         self.next_qid = self.next_qid.wrapping_add(1);
-        let nodes: Vec<SuperPeerNode> = (0..self.topology.len())
-            .map(|sp| {
-                let init = (sp == query.initiator).then_some(InitQuery {
-                    qid,
-                    subspace: query.subspace,
-                    variant,
-                    flavour,
-                });
-                SuperPeerNode::new(
-                    sp,
-                    self.topology.neighbors(sp).to_vec(),
-                    Arc::new(self.stores[sp].store.clone()),
-                    self.index,
-                    init,
-                )
-                .with_child_timeout(self.child_timeout_ns)
-            })
-            .collect();
-        let mut sim = Sim::new(nodes, self.link, self.cost);
-        for (sp, &alive) in self.alive.iter().enumerate() {
-            if !alive {
-                sim = sim.with_node_failure(sp, 0);
-            }
-        }
-        let out = sim.run(query.initiator);
-        let answer = out
-            .nodes
-            .into_iter()
-            .nth(query.initiator)
-            .expect("initiator exists")
-            .into_outcome()
-            .expect("child timeouts guarantee completion");
-        DistributedRun {
-            result: answer.result,
-            complete: answer.complete,
-            total_time_ns: out.stats.finished_at.expect("completed"),
-            volume_bytes: out.stats.bytes,
-        }
+        let opts = RunOptions {
+            flavour,
+            failures: (0..self.alive.len())
+                .filter(|&sp| !self.alive[sp])
+                .map(|sp| (sp, 0))
+                .collect(),
+            child_timeout_ns: Some(self.child_timeout_ns),
+            ..RunOptions::default()
+        };
+        let init = InitQuery { qid, subspace: query.subspace, variant, flavour };
+        let nodes = || {
+            let mut nodes = superpeer_nodes(
+                &self.topology,
+                &self.stores,
+                self.index,
+                IndexPolicy::Fixed(self.index),
+                None,
+                opts.child_timeout_ns,
+            );
+            nodes[query.initiator].push_init_query(init);
+            nodes
+        };
+        run_legs(self.link, self.cost, query.initiator, &opts, nodes, SuperPeerNode::into_outcome)
     }
 
     /// Convenience: applies a whole scenario, returning the query reports
@@ -327,14 +303,6 @@ impl ChurnRunner {
     pub fn dim(&self) -> usize {
         self.dim
     }
-}
-
-/// What one backbone execution produced (initiator's view).
-struct DistributedRun {
-    result: SortedDataset,
-    complete: bool,
-    total_time_ns: u64,
-    volume_bytes: u64,
 }
 
 /// A seeded generator of random churn scenarios, for stress tests: waves

@@ -5,7 +5,9 @@
 //! connected backbone, per-peer data, and the preprocessing phase. Queries
 //! then run on the deterministic DES.
 //!
-//! Each query is simulated twice:
+//! Every query runs through [`SkypeerEngine::run`], configured by
+//! [`RunOptions`]. With [`RunOptions::comp_time`] a query is simulated
+//! twice:
 //!
 //! * with the paper's **4 KB/s** link model — yielding the *total response
 //!   time* and the *volume of transferred data*;
@@ -13,21 +15,24 @@
 //!   critical path of computation alone, "neglecting network delays" as
 //!   the paper puts it for Figure 3(b)).
 //!
-//! Both runs execute the full protocol and both results are checked for
-//! exactness. The spanning tree that duplicate suppression induces can
+//! Both runs execute the full protocol and their answers are
+//! cross-checked. The spanning tree that duplicate suppression induces can
 //! differ between the two link models (first arrival wins), which is fine:
 //! each metric is read from the run whose link model defines it.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use skypeer_data::{DatasetSpec, Query};
 use skypeer_netsim::cost::CostModel;
-use skypeer_netsim::des::{LinkModel, Sim, SimStats};
-use skypeer_netsim::obs::Tracer;
+use skypeer_netsim::des::{Behavior, LinkModel, Sim};
+use skypeer_netsim::obs::{TraceEvent, Tracer};
 use skypeer_netsim::topology::{Topology, TopologySpec};
 use skypeer_skyline::{Dominance, DominanceIndex, SortedDataset, Subspace};
 
-use crate::node::{InitQuery, SuperPeerNode};
+use crate::audit::AnswerFault;
+use crate::backend::{backend_for, BackendKind};
+use crate::node::{FinalAnswer, InitQuery, SuperPeerNode};
+use crate::planner::IndexPolicy;
 use crate::preprocess::{preprocess_network, PreprocessReport};
 use crate::variants::Variant;
 
@@ -174,24 +179,188 @@ pub struct ConcurrentOutcome {
     /// Total messages delivered.
     pub messages: u64,
     /// Simulated completion time of each query, in completion order (one
-    /// entry per query; the last equals `makespan_ns`). Captured via the
-    /// DES finish hook, so a workload driver can build a latency
-    /// distribution from a single concurrent batch.
+    /// entry per query; the last equals `makespan_ns`). Read off the
+    /// batch's [`TraceEvent::Finish`] events, so a workload driver can
+    /// build a latency distribution from a single concurrent batch.
     pub finish_times_ns: Vec<u64>,
 }
 
-/// Where one query's work and traffic concentrated (see
-/// [`SkypeerEngine::profile_query`]).
-#[derive(Clone, Debug)]
-pub struct QueryProfile {
-    /// Raw per-node / per-link breakdown.
-    pub breakdown: skypeer_netsim::des::SimBreakdown,
-    /// Fraction of all computation spent on the initiator.
-    pub initiator_compute_share: f64,
-    /// Bytes that crossed the initiator's inbound links.
-    pub initiator_inbound_bytes: u64,
-    /// Bytes that crossed any link.
-    pub total_bytes: u64,
+/// How [`SkypeerEngine::run`] executes one query. The default is one
+/// untraced SKYPEER simulation over the configured links with standard
+/// dominance; every field switches on one thing.
+#[derive(Clone, Default)]
+pub struct RunOptions {
+    /// The distributed-skyline protocol that executes the query.
+    pub backend: BackendKind,
+    /// The dominance flavour of every kernel along the way. `Extended`
+    /// leaves the global `ext-SKY_U` at the initiator, which refines
+    /// locally into the exact `SKY_{U'}` for any `U' ⊆ U` (see
+    /// [`skypeer_skyline::extended::refine_from_ext`]) — what a result
+    /// cache admits.
+    pub flavour: Dominance,
+    /// Observes the configured-link simulation — the one whose timings
+    /// define the response time.
+    pub tracer: Option<Arc<dyn Tracer>>,
+    /// Per-directed-link replacements of the configured [`LinkModel`],
+    /// `(from, to, model)`: the perturbation hook for regression
+    /// root-cause work. They change timings only.
+    pub link_overrides: Vec<(usize, usize, LinkModel)>,
+    /// In-flight corruption of answer payloads (the audit drill). Wire
+    /// sizes are fixed at send time, so bytes and timings do not move.
+    pub fault: Option<AnswerFault>,
+    /// Super-peers that crash, as `(node, simulated time)`. Pair with
+    /// `child_timeout_ns` so the SKYPEER protocol still terminates.
+    pub failures: Vec<(usize, u64)>,
+    /// The fault-tolerance extension: every SKYPEER super-peer abandons
+    /// children silent for this long and flags the answer incomplete.
+    /// With it the answer may be incomplete; without it, it must not be.
+    pub child_timeout_ns: Option<u64>,
+    /// Also runs the query over zero-delay links, untraced and without
+    /// the overrides, to measure `comp_time_ns` (the paper's
+    /// computational time). Its answer is cross-checked against the
+    /// configured-link run. Off, `comp_time_ns` is 0.
+    pub comp_time: bool,
+}
+
+/// Builds the DES for one run: `nodes` over `link`, with the run's link
+/// overrides, tracer, answer fault and node failures applied. Every
+/// query path in this crate builds its simulator here.
+pub(crate) fn sim_for<B: Behavior>(
+    nodes: Vec<B>,
+    link: LinkModel,
+    cost: CostModel,
+    opts: &RunOptions,
+) -> Sim<B> {
+    let mut sim = Sim::new(nodes, link, cost);
+    for &(from, to, model) in &opts.link_overrides {
+        sim = sim.with_link_override(from, to, model);
+    }
+    if let Some(tracer) = &opts.tracer {
+        sim = sim.with_tracer(Arc::clone(tracer));
+    }
+    if let Some(fault) = opts.fault {
+        sim = sim.with_tamper_hook(move |_, _, payload| fault.tamper(payload));
+    }
+    for &(node, at) in &opts.failures {
+        sim = sim.with_node_failure(node, at);
+    }
+    sim
+}
+
+/// Runs one single-query simulation started at `initiator` and folds it
+/// into a [`QueryOutcome`]: the run over `link` and, with
+/// `opts.comp_time`, the zero-delay leg that defines `comp_time_ns`.
+/// `nodes` builds a fresh node vector per leg; `answer` pulls the final
+/// answer out of the initiator.
+///
+/// # Panics
+///
+/// Panics if a leg does not finish, if an answer is incomplete without a
+/// child timeout, or if the two legs disagree on a complete answer — all
+/// protocol bugs.
+pub(crate) fn run_legs<B: Behavior>(
+    link: LinkModel,
+    cost: CostModel,
+    initiator: usize,
+    opts: &RunOptions,
+    nodes: impl Fn() -> Vec<B>,
+    answer: impl Fn(B) -> Option<FinalAnswer>,
+) -> QueryOutcome {
+    let leg = |link: LinkModel, opts: &RunOptions| {
+        let out = sim_for(nodes(), link, cost, opts).run(initiator);
+        let answer = out
+            .nodes
+            .into_iter()
+            .nth(initiator)
+            .and_then(&answer)
+            .expect("initiator must hold the final result after completion");
+        assert!(
+            answer.complete || opts.child_timeout_ns.is_some(),
+            "failure-free runs must be complete"
+        );
+        let finished_at = out.stats.finished_at.expect("query must complete");
+        (out.stats, finished_at, answer)
+    };
+    let (stats, total_time_ns, answer) = leg(link, opts);
+    let result_ids = sorted_ids(&answer.result);
+    let comp_time_ns = if opts.comp_time {
+        let zero_opts = RunOptions { tracer: None, link_overrides: Vec::new(), ..opts.clone() };
+        let (_, comp_time_ns, zero) = leg(LinkModel::zero_delay(), &zero_opts);
+        if answer.complete && zero.complete {
+            assert_eq!(
+                result_ids,
+                sorted_ids(&zero.result),
+                "link model must not change the query answer"
+            );
+        }
+        comp_time_ns
+    } else {
+        0
+    };
+    QueryOutcome {
+        result_ids,
+        complete: answer.complete,
+        result: answer.result,
+        total_time_ns,
+        comp_time_ns,
+        volume_bytes: stats.bytes,
+        messages: stats.messages,
+        dropped: stats.dropped,
+        compute_ns_total: stats.compute_ns_total,
+        rounds: stats.rounds,
+    }
+}
+
+/// The SKYPEER super-peers of one simulation, with no query pushed yet
+/// (see [`SuperPeerNode::push_init_query`]): node `sp` holds `stores[sp]`,
+/// floods to its backbone neighbours or forwards down `tree`, and
+/// abandons children silent for `child_timeout_ns` when set.
+pub(crate) fn superpeer_nodes(
+    topology: &Topology,
+    stores: &[Arc<SortedDataset>],
+    index: DominanceIndex,
+    policy: IndexPolicy,
+    tree: Option<Vec<Vec<usize>>>,
+    child_timeout_ns: Option<u64>,
+) -> Vec<SuperPeerNode> {
+    (0..topology.len())
+        .map(|sp| {
+            let mut node = SuperPeerNode::new(
+                sp,
+                topology.neighbors(sp).to_vec(),
+                Arc::clone(&stores[sp]),
+                index,
+                None,
+            )
+            .with_index_policy(policy);
+            if let Some(children) = &tree {
+                node = node.with_tree_routing(children[sp].clone());
+            }
+            if let Some(timeout) = child_timeout_ns {
+                node = node.with_child_timeout(timeout);
+            }
+            node
+        })
+        .collect()
+}
+
+/// The ids of `result`, sorted.
+pub(crate) fn sorted_ids(result: &SortedDataset) -> Vec<u64> {
+    let mut ids: Vec<u64> = (0..result.len()).map(|i| result.points().id(i)).collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// A tracer that keeps only the time of every [`TraceEvent::Finish`].
+#[derive(Default)]
+struct FinishTimes(Mutex<Vec<u64>>);
+
+impl Tracer for FinishTimes {
+    fn record(&self, ev: TraceEvent) {
+        if let TraceEvent::Finish { at, .. } = ev {
+            self.0.lock().expect("tracer poisoned").push(at);
+        }
+    }
 }
 
 /// A built SKYPEER network, ready to answer queries.
@@ -216,11 +385,8 @@ pub struct SkypeerEngine {
     preprocess: PreprocessReport,
     /// Per-query dominance-index policy applied at query time (defaults to
     /// `Fixed(config.index)`).
-    query_policy: crate::planner::IndexPolicy,
+    query_policy: IndexPolicy,
     next_qid: std::cell::Cell<u32>,
-    /// Optional in-flight answer corruption (audit drills); `None` keeps
-    /// every run byte-identical to a fault-free engine.
-    fault: std::cell::Cell<Option<crate::audit::AnswerFault>>,
 }
 
 impl SkypeerEngine {
@@ -252,25 +418,15 @@ impl SkypeerEngine {
             topology,
             stores: stores.into_iter().map(|s| Arc::new(s.store)).collect(),
             preprocess,
-            query_policy: crate::planner::IndexPolicy::Fixed(config.index),
+            query_policy: IndexPolicy::Fixed(config.index),
             next_qid: std::cell::Cell::new(1),
-            fault: std::cell::Cell::new(None),
         }
-    }
-
-    /// Installs (or clears) an in-flight [`crate::audit::AnswerFault`]
-    /// applied to every subsequent observed run — the audit drill that
-    /// silently corrupts one ext-skyline entry in transit. `None` (the
-    /// default) leaves every code path byte-identical to a fault-free
-    /// engine.
-    pub fn set_fault(&self, fault: Option<crate::audit::AnswerFault>) {
-        self.fault.set(fault);
     }
 
     /// Switches the query-time dominance-index policy (preprocessing
     /// always used `config.index`). `IndexPolicy::Auto` picks per query
     /// from the cardinality estimate — see [`crate::planner`].
-    pub fn set_query_policy(&mut self, policy: crate::planner::IndexPolicy) {
+    pub fn set_query_policy(&mut self, policy: IndexPolicy) {
         self.query_policy = policy;
     }
 
@@ -307,224 +463,101 @@ impl SkypeerEngine {
     }
 
     /// The query-time dominance-index policy.
-    pub(crate) fn current_query_policy(&self) -> crate::planner::IndexPolicy {
+    pub(crate) fn current_query_policy(&self) -> IndexPolicy {
         self.query_policy
     }
 
-    /// The currently-installed answer fault, if any.
-    pub(crate) fn current_fault(&self) -> Option<crate::audit::AnswerFault> {
-        self.fault.get()
-    }
-
-    /// Builds the per-run node vector.
-    fn make_nodes(
-        &self,
-        query: Query,
-        variant: Variant,
-        qid: u32,
-        flavour: Dominance,
-    ) -> Vec<SuperPeerNode> {
-        let tree = match self.config.routing {
-            RoutingMode::Flood => None,
-            RoutingMode::SpanningTree => Some(self.topology.bfs_tree(query.initiator)),
-        };
-        (0..self.topology.len())
-            .map(|sp| {
-                let init = (sp == query.initiator).then_some(InitQuery {
-                    qid,
-                    subspace: query.subspace,
-                    variant,
-                    flavour,
-                });
-                let node = SuperPeerNode::new(
-                    sp,
-                    self.topology.neighbors(sp).to_vec(),
-                    Arc::clone(&self.stores[sp]),
-                    self.config.index,
-                    init,
-                )
-                .with_index_policy(self.query_policy);
-                match &tree {
-                    Some(children) => node.with_tree_routing(children[sp].clone()),
-                    None => node,
-                }
-            })
-            .collect()
-    }
-
-    /// Executes one query under `variant` on the DES and returns its
-    /// metrics.
+    /// Executes one query on the DES under `variant`, as `opts` says, and
+    /// returns its metrics. The answer is asserted complete unless
+    /// `opts.child_timeout_ns` is set; when the outcome is then flagged
+    /// incomplete, the answer is the exact skyline *of the data that
+    /// reached the initiator* — it may miss points held by lost subtrees
+    /// and contain points only a lost subtree could have dominated.
     ///
     /// # Panics
     ///
-    /// Panics if either simulation fails to complete (a protocol bug) or if
-    /// the two runs disagree on the result (ditto).
-    pub fn run_query(&self, query: Query, variant: Variant) -> QueryOutcome {
-        self.run_query_inner(query, variant, None)
+    /// Panics if a simulation does not finish (a protocol bug, or a
+    /// crashed initiator), on an incomplete answer without a child
+    /// timeout, or if the zero-delay leg disagrees with the real run.
+    pub fn run(&self, query: Query, variant: Variant, opts: &RunOptions) -> QueryOutcome {
+        backend_for(opts.backend).run(self, query, variant, opts)
     }
 
-    /// [`SkypeerEngine::run_query`] with a [`Tracer`] observing the
-    /// total-time (configured-link) run — the run whose timings define the
-    /// response time, so its trace is the one worth profiling. The
-    /// zero-delay computational-time run stays untraced.
+    /// [`SkypeerEngine::run`] with `comp_time` on: the paper's response
+    /// time, volume and computational time. Kept as a shorthand because
+    /// the `perfbench/` harness calls it.
+    pub fn run_query(&self, query: Query, variant: Variant) -> QueryOutcome {
+        self.run(query, variant, &RunOptions { comp_time: true, ..RunOptions::default() })
+    }
+
+    /// [`SkypeerEngine::run_query`] with `tracer` on the configured-link
+    /// run. Kept as a shorthand because the `perfbench/` harness calls it.
     pub fn run_query_traced(
         &self,
         query: Query,
         variant: Variant,
         tracer: Arc<dyn Tracer>,
     ) -> QueryOutcome {
-        self.run_query_inner(query, variant, Some(tracer))
+        let opts = RunOptions { tracer: Some(tracer), comp_time: true, ..RunOptions::default() };
+        self.run(query, variant, &opts)
     }
 
-    /// The soak-runner path: executes one query in a **single** simulation
-    /// with the configured links, optionally traced. Unlike
-    /// [`SkypeerEngine::run_query`] there is no second zero-delay run and
-    /// no cross-check between the two, so a long workload pays one
-    /// simulation per query instead of two; consequently `comp_time_ns`
-    /// is reported as 0 (the zero-delay run is what defines it). The
-    /// answer is still asserted complete.
+    /// [`SkypeerEngine::run`] with only a tracer: one simulation, no
+    /// zero-delay leg, `comp_time_ns` 0. Kept as a shorthand because the
+    /// `perfbench/` harness calls it.
     pub fn run_query_observed(
         &self,
         query: Query,
         variant: Variant,
         tracer: Option<Arc<dyn Tracer>>,
     ) -> QueryOutcome {
-        self.run_observed_inner(query, variant, Dominance::Standard, tracer, &[])
+        self.run(query, variant, &RunOptions { tracer, ..RunOptions::default() })
     }
 
-    /// [`SkypeerEngine::run_query_observed`] with per-directed-link
-    /// overrides of the configured [`LinkModel`] — the perturbation hook
-    /// for regression root-cause work: capture a baseline trace, bump one
-    /// link's latency, capture again, and diff the two. Overrides change
-    /// timings only; the answer is still asserted complete.
-    pub fn run_query_observed_perturbed(
+    /// The SKYPEER protocol's side of [`SkypeerEngine::run`] (see
+    /// [`crate::backend::SkypeerBackend`]).
+    pub(crate) fn run_skypeer(
         &self,
         query: Query,
         variant: Variant,
-        overrides: &[(usize, usize, LinkModel)],
-        tracer: Option<Arc<dyn Tracer>>,
+        opts: &RunOptions,
     ) -> QueryOutcome {
-        self.run_observed_inner(query, variant, Dominance::Standard, tracer, overrides)
-    }
-
-    /// [`SkypeerEngine::run_query_observed`] with the **Extended** dominance
-    /// flavour: every kernel along the way (local filtering, threshold
-    /// pruning, merging) uses ext-domination, so the initiator ends up with
-    /// the *global extended skyline* `ext-SKY_U`. That result is a superset
-    /// of `SKY_U` (Observation 3) and, crucially, can be refined locally
-    /// into the exact `SKY_{U'}` for **any** `U' ⊆ U` (see
-    /// [`skypeer_skyline::extended::refine_from_ext`]) — which is what
-    /// makes it worth caching. The run is exact because removing
-    /// ext-dominated points never removes a point another peer could not
-    /// also ext-dominate, and threshold pruning stays sound: `f(p) >
-    /// dist_U(q)` implies `q` is strictly smaller than `p` on every
-    /// dimension of `U`.
-    pub fn run_query_ext_observed(
-        &self,
-        query: Query,
-        variant: Variant,
-        tracer: Option<Arc<dyn Tracer>>,
-    ) -> QueryOutcome {
-        self.run_observed_inner(query, variant, Dominance::Extended, tracer, &[])
-    }
-
-    fn run_observed_inner(
-        &self,
-        query: Query,
-        variant: Variant,
-        flavour: Dominance,
-        tracer: Option<Arc<dyn Tracer>>,
-        link_overrides: &[(usize, usize, LinkModel)],
-    ) -> QueryOutcome {
-        let qid = self.next_qid.get();
-        self.next_qid.set(qid.wrapping_add(1));
-        let mut sim = Sim::new(
-            self.make_nodes(query, variant, qid, flavour),
+        let qid = self.alloc_qid();
+        let init = InitQuery { qid, subspace: query.subspace, variant, flavour: opts.flavour };
+        let nodes = || {
+            let mut nodes = self.make_nodes(Some(query.initiator), opts.child_timeout_ns);
+            nodes[query.initiator].push_init_query(init);
+            nodes
+        };
+        run_legs(
             self.config.link,
             self.config.cost,
-        );
-        for &(from, to, model) in link_overrides {
-            sim = sim.with_link_override(from, to, model);
-        }
-        if let Some(tracer) = tracer {
-            sim = sim.with_tracer(tracer);
-        }
-        if let Some(fault) = self.fault.get() {
-            sim = sim.with_tamper_hook(move |_, _, payload| fault.tamper(payload));
-        }
-        let out = sim.run(query.initiator);
-        let (stats, result, complete) = extract(out, query.initiator);
-        assert!(complete, "failure-free runs must be complete");
-        let mut result_ids: Vec<u64> = (0..result.len()).map(|i| result.points().id(i)).collect();
-        result_ids.sort_unstable();
-        QueryOutcome {
-            result_ids,
-            complete,
-            result,
-            total_time_ns: stats.finished_at.expect("query must complete"),
-            comp_time_ns: 0,
-            volume_bytes: stats.bytes,
-            messages: stats.messages,
-            dropped: stats.dropped,
-            compute_ns_total: stats.compute_ns_total,
-            rounds: stats.rounds,
-        }
-    }
-
-    fn run_query_inner(
-        &self,
-        query: Query,
-        variant: Variant,
-        tracer: Option<Arc<dyn Tracer>>,
-    ) -> QueryOutcome {
-        let qid = self.next_qid.get();
-        self.next_qid.set(qid.wrapping_add(1));
-
-        // Total-time run with the configured (4 KB/s) links.
-        let mut sim = Sim::new(
-            self.make_nodes(query, variant, qid, Dominance::Standard),
-            self.config.link,
-            self.config.cost,
-        );
-        if let Some(tracer) = tracer {
-            sim = sim.with_tracer(tracer);
-        }
-        let real = sim.run(query.initiator);
-        let (real_stats, real_result, real_complete) = extract(real, query.initiator);
-
-        // Computational-time run with zero-delay links.
-        let zero = Sim::new(
-            self.make_nodes(query, variant, qid, Dominance::Standard),
-            LinkModel::zero_delay(),
-            self.config.cost,
+            query.initiator,
+            opts,
+            nodes,
+            SuperPeerNode::into_outcome,
         )
-        .run(query.initiator);
-        let (zero_stats, zero_result, zero_complete) = extract(zero, query.initiator);
-        assert!(real_complete && zero_complete, "failure-free runs must be complete");
+    }
 
-        let mut real_ids: Vec<u64> =
-            (0..real_result.len()).map(|i| real_result.points().id(i)).collect();
-        real_ids.sort_unstable();
-        let mut zero_ids: Vec<u64> =
-            (0..zero_result.len()).map(|i| zero_result.points().id(i)).collect();
-        zero_ids.sort_unstable();
-        assert_eq!(
-            real_ids, zero_ids,
-            "link model must not change the query answer (variant {variant})"
-        );
-
-        QueryOutcome {
-            result_ids: real_ids,
-            complete: real_complete,
-            result: real_result,
-            total_time_ns: real_stats.finished_at.expect("query must complete"),
-            comp_time_ns: zero_stats.finished_at.expect("query must complete"),
-            volume_bytes: real_stats.bytes,
-            messages: real_stats.messages,
-            dropped: real_stats.dropped,
-            compute_ns_total: real_stats.compute_ns_total,
-            rounds: real_stats.rounds,
-        }
+    /// The engine's super-peers for one run; `initiator` roots the
+    /// spanning tree under [`RoutingMode::SpanningTree`].
+    fn make_nodes(
+        &self,
+        initiator: Option<usize>,
+        child_timeout_ns: Option<u64>,
+    ) -> Vec<SuperPeerNode> {
+        let tree = match self.config.routing {
+            RoutingMode::Flood => None,
+            RoutingMode::SpanningTree => initiator.map(|root| self.topology.bfs_tree(root)),
+        };
+        superpeer_nodes(
+            &self.topology,
+            &self.stores,
+            self.config.index,
+            self.query_policy,
+            tree,
+            child_timeout_ns,
+        )
     }
 
     /// Runs a whole workload under `variant`, returning per-query outcomes.
@@ -554,17 +587,7 @@ impl SkypeerEngine {
         let base_qid = self.next_qid.get();
         self.next_qid.set(base_qid.wrapping_add(batch.len() as u32));
 
-        let mut nodes: Vec<SuperPeerNode> = (0..self.topology.len())
-            .map(|sp| {
-                SuperPeerNode::new(
-                    sp,
-                    self.topology.neighbors(sp).to_vec(),
-                    Arc::clone(&self.stores[sp]),
-                    self.config.index,
-                    None,
-                )
-            })
-            .collect();
+        let mut nodes = self.make_nodes(None, None);
         let mut starts: Vec<usize> = Vec::new();
         for (i, (q, variant)) in batch.iter().enumerate() {
             let qid = base_qid.wrapping_add(i as u32);
@@ -573,13 +596,15 @@ impl SkypeerEngine {
                 starts.push(q.initiator);
             }
         }
-        let finish_times: std::rc::Rc<std::cell::RefCell<Vec<u64>>> = Default::default();
-        let sink = std::rc::Rc::clone(&finish_times);
-        let out = Sim::new(nodes, self.config.link, self.config.cost)
-            .with_finish_hook(move |_node, at| sink.borrow_mut().push(at))
+        let finishes = Arc::new(FinishTimes::default());
+        let opts = RunOptions {
+            tracer: Some(Arc::clone(&finishes) as Arc<dyn Tracer>),
+            ..RunOptions::default()
+        };
+        let out = sim_for(nodes, self.config.link, self.config.cost, &opts)
             .run_multi(&starts, batch.len());
         let makespan_ns = out.stats.finished_at.expect("batch must complete");
-        let finish_times_ns = finish_times.borrow().clone();
+        let finish_times_ns = std::mem::take(&mut *finishes.0.lock().expect("tracer poisoned"));
 
         let mut per_query: Vec<Vec<u64>> = Vec::with_capacity(batch.len());
         for (i, (q, _)) in batch.iter().enumerate() {
@@ -588,10 +613,7 @@ impl SkypeerEngine {
                 .outcome_for(qid)
                 .unwrap_or_else(|| panic!("query {qid} missing at its initiator"));
             assert!(answer.complete, "failure-free batch must be complete");
-            let mut ids: Vec<u64> =
-                (0..answer.result.len()).map(|j| answer.result.points().id(j)).collect();
-            ids.sort_unstable();
-            per_query.push(ids);
+            per_query.push(sorted_ids(&answer.result));
         }
         ConcurrentOutcome {
             result_ids: per_query,
@@ -599,92 +621,6 @@ impl SkypeerEngine {
             volume_bytes: out.stats.bytes,
             messages: out.stats.messages,
             finish_times_ns,
-        }
-    }
-
-    /// Profiles one query with per-node / per-link breakdowns: where the
-    /// computation concentrated and which links carried the bytes. The
-    /// classic finding is that fixed merging concentrates both on the
-    /// initiator and its links — the bottleneck progressive merging
-    /// removes (Section 5.2.3 of the paper).
-    pub fn profile_query(&self, query: Query, variant: Variant) -> QueryProfile {
-        let qid = self.next_qid.get();
-        self.next_qid.set(qid.wrapping_add(1));
-        let out = Sim::new(
-            self.make_nodes(query, variant, qid, Dominance::Standard),
-            self.config.link,
-            self.config.cost,
-        )
-        .with_breakdown()
-        .run(query.initiator);
-        let breakdown = out.breakdown.expect("breakdown enabled");
-        let total: u64 = breakdown.compute_ns.iter().sum();
-        let initiator_share = if total == 0 {
-            0.0
-        } else {
-            breakdown.compute_ns[query.initiator] as f64 / total as f64
-        };
-        let inbound_initiator: u64 = breakdown
-            .link_bytes
-            .iter()
-            .filter(|(&(_, to), _)| to == query.initiator)
-            .map(|(_, &b)| b)
-            .sum();
-        QueryProfile {
-            breakdown,
-            initiator_compute_share: initiator_share,
-            initiator_inbound_bytes: inbound_initiator,
-            total_bytes: out.stats.bytes,
-        }
-    }
-
-    /// Fault-tolerance extension (the paper's future work): executes one
-    /// query while the given super-peers crash at the given simulated
-    /// times. Every surviving super-peer abandons children that stay
-    /// silent for `child_timeout_ns`, so the query always terminates.
-    ///
-    /// When the outcome is flagged incomplete, the answer is the exact
-    /// skyline *of the data that reached the initiator*: relative to the
-    /// true global skyline it may miss points held by lost subtrees and
-    /// may contain points that only a lost subtree could have dominated.
-    /// When the outcome is complete, it is the exact global skyline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the initiator itself fails before completion.
-    pub fn run_query_with_failures(
-        &self,
-        query: Query,
-        variant: Variant,
-        failures: &[(usize, u64)],
-        child_timeout_ns: u64,
-    ) -> QueryOutcome {
-        let qid = self.next_qid.get();
-        self.next_qid.set(qid.wrapping_add(1));
-        let nodes: Vec<SuperPeerNode> = self
-            .make_nodes(query, variant, qid, Dominance::Standard)
-            .into_iter()
-            .map(|n| n.with_child_timeout(child_timeout_ns))
-            .collect();
-        let mut sim = Sim::new(nodes, self.config.link, self.config.cost);
-        for &(node, at) in failures {
-            sim = sim.with_node_failure(node, at);
-        }
-        let out = sim.run(query.initiator);
-        let (stats, result, complete) = extract(out, query.initiator);
-        let mut result_ids: Vec<u64> = (0..result.len()).map(|i| result.points().id(i)).collect();
-        result_ids.sort_unstable();
-        QueryOutcome {
-            result_ids,
-            complete,
-            result,
-            total_time_ns: stats.finished_at.expect("timeouts guarantee completion"),
-            comp_time_ns: stats.finished_at.expect("timeouts guarantee completion"),
-            volume_bytes: stats.bytes,
-            messages: stats.messages,
-            dropped: stats.dropped,
-            compute_ns_total: stats.compute_ns_total,
-            rounds: stats.rounds,
         }
     }
 
@@ -700,26 +636,8 @@ impl SkypeerEngine {
             f64::INFINITY,
             self.config.index,
         );
-        let mut ids: Vec<u64> =
-            (0..merged.result.len()).map(|i| merged.result.points().id(i)).collect();
-        ids.sort_unstable();
-        ids
+        sorted_ids(&merged.result)
     }
-}
-
-/// Pulls the initiator's final result out of a finished simulation.
-fn extract(
-    out: skypeer_netsim::des::SimOutcome<SuperPeerNode>,
-    initiator: usize,
-) -> (SimStats, SortedDataset, bool) {
-    let answer = out
-        .nodes
-        .into_iter()
-        .nth(initiator)
-        .expect("initiator exists")
-        .into_outcome()
-        .expect("initiator must hold the final result after completion");
-    (out.stats, answer.result, answer.complete)
 }
 
 #[cfg(test)]
@@ -929,20 +847,32 @@ mod profile_tests {
             routing: RoutingMode::Flood,
         });
         let q = Query { subspace: Subspace::from_dims(&[0, 2, 4]), initiator: 0 };
-        let fm = engine.profile_query(q, Variant::Ftfm);
-        let pm = engine.profile_query(q, Variant::Ftpm);
+        // (initiator's share of all compute, bytes into the initiator,
+        // registry) of one traced run.
+        let profile = |variant| {
+            use skypeer_netsim::obs::{MemTracer, MetricsRegistry};
+            let tracer = Arc::new(MemTracer::new());
+            let opts = RunOptions {
+                tracer: Some(Arc::clone(&tracer) as Arc<dyn Tracer>),
+                ..RunOptions::default()
+            };
+            engine.run(q, variant, &opts);
+            let m = MetricsRegistry::from_events(&tracer.take());
+            let total: u64 = m.per_node.iter().map(|n| n.service_ns).sum();
+            let share = m.per_node[q.initiator].service_ns as f64 / total as f64;
+            let inbound: u64 =
+                m.link_bytes.iter().filter(|(&(_, to), _)| to == q.initiator).map(|(_, b)| b).sum();
+            (share, inbound, m)
+        };
+        let (fm_share, fm_inbound, fm) = profile(Variant::Ftfm);
+        let (pm_share, pm_inbound, _) = profile(Variant::Ftpm);
         assert!(
-            fm.initiator_compute_share > pm.initiator_compute_share,
-            "fixed merging must load the initiator more ({:.3} vs {:.3})",
-            fm.initiator_compute_share,
-            pm.initiator_compute_share
+            fm_share > pm_share,
+            "fixed merging must load the initiator more ({fm_share:.3} vs {pm_share:.3})"
         );
-        assert!(
-            fm.initiator_inbound_bytes > pm.initiator_inbound_bytes,
-            "fixed merging must funnel more bytes into the initiator"
-        );
-        assert!(fm.breakdown.hottest_node().is_some());
-        assert!(fm.initiator_inbound_bytes <= fm.total_bytes);
+        assert!(fm_inbound > pm_inbound, "fixed merging must funnel more bytes into the initiator");
+        assert!(fm.hottest_node().is_some());
+        assert!(fm_inbound <= fm.counters["bytes_sent"]);
     }
 }
 

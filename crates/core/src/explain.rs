@@ -16,7 +16,7 @@
 //! seed and flags reproduce the identical byte string — goldens compare
 //! with `==`.
 
-use crate::engine::{RoutingMode, SkypeerEngine};
+use crate::engine::{RoutingMode, RunOptions, SkypeerEngine};
 use crate::variants::Variant;
 use skypeer_data::Query;
 use skypeer_netsim::obs::critical::{render as render_critical, CriticalPath, StepKind};
@@ -456,8 +456,8 @@ fn fmt_threshold(v: f64) -> String {
 
 impl SkypeerEngine {
     /// Runs one query under full tracing and distills the trace into an
-    /// [`ExplainReport`]. Also runs the naive variant (untraced, with a
-    /// per-link breakdown) as the bytes baseline, unless the explained
+    /// [`ExplainReport`]. Also runs the naive variant (traced, for its
+    /// per-link bytes) as the bytes baseline, unless the explained
     /// variant *is* naive, in which case it is its own baseline.
     ///
     /// # Panics
@@ -473,7 +473,13 @@ impl SkypeerEngine {
         let naive_links: BTreeMap<(usize, usize), u64> = if variant == Variant::Naive {
             registry.link_bytes.clone()
         } else {
-            self.profile_query(query, Variant::Naive).breakdown.link_bytes.into_iter().collect()
+            let naive = Arc::new(MemTracer::new());
+            let opts = RunOptions {
+                tracer: Some(Arc::clone(&naive) as Arc<dyn Tracer>),
+                ..RunOptions::default()
+            };
+            self.run(query, Variant::Naive, &opts);
+            MetricsRegistry::from_events(&naive.take()).link_bytes
         };
         let naive_bytes: u64 = naive_links.values().sum();
 

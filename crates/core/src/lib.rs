@@ -48,7 +48,7 @@ pub use backend::{
     backend_for, parse_backend, BackendKind, DistributedSkylineBackend, SamplingBackend,
     SkypeerBackend,
 };
-pub use engine::{EngineConfig, QueryMetrics, QueryOutcome, SkypeerEngine};
+pub use engine::{EngineConfig, QueryMetrics, QueryOutcome, RunOptions, SkypeerEngine};
 pub use explain::ExplainReport;
 pub use preprocess::{preprocess_network, PreprocessReport, SuperPeerStore};
 pub use variants::Variant;

@@ -85,20 +85,31 @@ impl SuperPeerStore {
     /// Handles a peer join (Section 5.3): ext-merges the newcomer's upload
     /// into the existing store incrementally.
     pub fn join_peer(&mut self, new_peer: &PointSet, index: DominanceIndex) {
-        assert_eq!(new_peer.dim(), self.store.dim(), "joining peer dimensionality mismatch");
-        let up = ext_skyline(new_peer, index).result;
+        let up = join_peer(&mut self.store, new_peer, index);
         self.raw_points += new_peer.len();
         self.uploaded_points += up.len();
         self.uploaded_bytes += up.wire_bytes();
-        let merged = merge_sorted(
-            &[&self.store, &up],
-            Subspace::full(self.store.dim()),
-            Dominance::Extended,
-            f64::INFINITY,
-            index,
-        );
-        self.store = merged.result;
     }
+}
+
+/// Ext-merges a joining peer's upload into `store` (Section 5.3) and
+/// returns the upload.
+pub(crate) fn join_peer(
+    store: &mut SortedDataset,
+    new_peer: &PointSet,
+    index: DominanceIndex,
+) -> SortedDataset {
+    assert_eq!(new_peer.dim(), store.dim(), "joining peer dimensionality mismatch");
+    let up = ext_skyline(new_peer, index).result;
+    let merged = merge_sorted(
+        &[&*store, &up],
+        Subspace::full(store.dim()),
+        Dominance::Extended,
+        f64::INFINITY,
+        index,
+    );
+    *store = merged.result;
+    up
 }
 
 /// Network-wide preprocessing statistics — the quantities of Figure 3(a).

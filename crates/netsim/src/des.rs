@@ -120,33 +120,6 @@ pub trait Behavior {
     fn on_timer(&mut self, _tag: u64, _ctx: &mut dyn Context) {}
 }
 
-/// Per-node / per-link breakdowns, collected when
-/// [`Sim::with_breakdown`] is enabled.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SimBreakdown {
-    /// Total computation service time per node, ns.
-    pub compute_ns: Vec<u64>,
-    /// Messages handled per node.
-    pub handled: Vec<u64>,
-    /// Bytes sent per directed link.
-    pub link_bytes: HashMap<(usize, usize), u64>,
-}
-
-impl SimBreakdown {
-    /// The busiest node by compute time, `(node, ns)`. Ties go to the
-    /// smallest node id so the answer is deterministic.
-    pub fn hottest_node(&self) -> Option<(usize, u64)> {
-        self.compute_ns.iter().copied().enumerate().max_by_key(|&(i, ns)| (ns, Reverse(i)))
-    }
-
-    /// The busiest directed link by bytes, `((from, to), bytes)`. Ties go
-    /// to the lexicographically smallest link so the answer does not
-    /// depend on `HashMap` iteration order.
-    pub fn hottest_link(&self) -> Option<((usize, usize), u64)> {
-        self.link_bytes.iter().map(|(&l, &b)| (l, b)).max_by_key(|&(l, b)| (b, Reverse(l)))
-    }
-}
-
 /// Aggregate statistics of one simulation run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimStats {
@@ -210,23 +183,11 @@ pub struct SimOutcome<B> {
     pub nodes: Vec<B>,
     /// Run statistics.
     pub stats: SimStats,
-    /// Per-node / per-link breakdowns, when enabled.
-    pub breakdown: Option<SimBreakdown>,
 }
 
 /// Failure-injection callback: sees `(from, to, msg)` and returns `true`
 /// to drop the message.
 pub type DropHook = Box<dyn FnMut(usize, usize, &[u8]) -> bool>;
-
-/// Delivery observer: `(time, from, to, msg)` for every delivered message,
-/// in delivery order. For tracing, visualization, and protocol tests.
-pub type TraceHook = Box<dyn FnMut(SimTime, usize, usize, &[u8])>;
-
-/// Finish observer: `(node, at)` for every [`Context::finish`] call, in
-/// execution order. Lets a workload driver timestamp each query's
-/// completion inside a multi-query batch, where `SimStats::finished_at`
-/// only reports the last one (the makespan).
-pub type FinishHook = Box<dyn FnMut(usize, SimTime)>;
 
 /// Corruption-injection callback: sees `(from, to, msg)` just before
 /// delivery and returns `Some(replacement)` to tamper with the payload.
@@ -248,19 +209,13 @@ pub struct Sim<B: Behavior> {
     drop_hook: Option<DropHook>,
     /// Optional corruption injection.
     tamper_hook: Option<TamperHook>,
-    /// Optional delivery observer.
-    trace_hook: Option<TraceHook>,
-    /// Optional per-finish observer.
-    finish_hook: Option<FinishHook>,
     /// Optional structured-event tracer. With `None` every emission site
     /// is a single branch, so untraced runs behave exactly like the seed
-    /// simulator (bit-for-bit identical `SimStats` / `SimBreakdown`).
+    /// simulator (bit-for-bit identical `SimStats`).
     tracer: Option<Arc<dyn Tracer>>,
     /// Nodes that crash at a given simulated time: after it, they neither
     /// receive nor send, and their pending timers never fire.
     fail_at: HashMap<usize, SimTime>,
-    /// Whether to collect per-node / per-link breakdowns.
-    breakdown: bool,
     /// Safety valve against runaway protocols.
     max_events: u64,
 }
@@ -330,7 +285,6 @@ impl Context for DesCtx {
 /// [`Sim::absorb_ctx`].
 struct RunState {
     stats: SimStats,
-    breakdown: Option<SimBreakdown>,
     busy_until: Vec<SimTime>,
     /// Per directed link: when the link becomes free again. Transfers on
     /// one link serialize (and are therefore FIFO).
@@ -355,11 +309,8 @@ impl<B: Behavior> Sim<B> {
             cost,
             drop_hook: None,
             tamper_hook: None,
-            trace_hook: None,
-            finish_hook: None,
             tracer: None,
             fail_at: HashMap::new(),
-            breakdown: false,
             max_events: 100_000_000,
         }
     }
@@ -378,31 +329,6 @@ impl<B: Behavior> Sim<B> {
     /// interventions from the critical-path analyzer for real.
     pub fn with_link_override(mut self, from: usize, to: usize, link: LinkModel) -> Self {
         self.link_overrides.insert((from, to), link);
-        self
-    }
-
-    /// Enables per-node compute and per-link byte breakdowns in the
-    /// outcome (small constant overhead per event).
-    pub fn with_breakdown(mut self) -> Self {
-        self.breakdown = true;
-        self
-    }
-
-    /// Installs a delivery observer invoked (in delivery order) for every
-    /// message that reaches a node.
-    pub fn with_trace_hook(
-        mut self,
-        hook: impl FnMut(SimTime, usize, usize, &[u8]) + 'static,
-    ) -> Self {
-        self.trace_hook = Some(Box::new(hook));
-        self
-    }
-
-    /// Installs a finish observer invoked as `(node, sim_time)` once per
-    /// [`Context::finish`] call, in execution order. Observation only:
-    /// it cannot change simulation results.
-    pub fn with_finish_hook(mut self, hook: impl FnMut(usize, SimTime) + 'static) -> Self {
-        self.finish_hook = Some(Box::new(hook));
         self
     }
 
@@ -469,11 +395,6 @@ impl<B: Behavior> Sim<B> {
         }
         let mut rs = RunState {
             stats: SimStats::default(),
-            breakdown: self.breakdown.then(|| SimBreakdown {
-                compute_ns: vec![0; self.nodes.len()],
-                handled: vec![0; self.nodes.len()],
-                link_bytes: HashMap::new(),
-            }),
             busy_until: vec![0; self.nodes.len()],
             link_free: HashMap::new(),
             heap: BinaryHeap::new(),
@@ -544,12 +465,6 @@ impl<B: Behavior> Sim<B> {
                     };
                     rs.stats.messages += 1;
                     rs.stats.rounds = rs.stats.rounds.max(ev.depth);
-                    if let Some(b) = &mut rs.breakdown {
-                        b.handled[ev.to] += 1;
-                    }
-                    if let Some(hook) = &mut self.trace_hook {
-                        hook(ev.time, from, ev.to, &msg);
-                    }
                     if let Some(tr) = &self.tracer {
                         tr.record(TraceEvent::Deliver {
                             msg_seq: ev.seq,
@@ -589,7 +504,7 @@ impl<B: Behavior> Sim<B> {
         }
         rs.stats.finished_at =
             (rs.finishes_seen >= required_finishes).then_some(rs.finished.unwrap_or(0));
-        SimOutcome { nodes: self.nodes, stats: rs.stats, breakdown: rs.breakdown }
+        SimOutcome { nodes: self.nodes, stats: rs.stats }
     }
 
     /// Applies a handler's effects: service time, outgoing messages (with
@@ -608,9 +523,6 @@ impl<B: Behavior> Sim<B> {
         skypeer_obs::scope!("des::absorb");
         let service = self.cost.service_ns(&ctx.work);
         rs.stats.compute_ns_total += service;
-        if let Some(b) = rs.breakdown.as_mut() {
-            b.compute_ns[node] += service;
-        }
         let begin = ctx.now;
         let end = begin + service;
         rs.busy_until[node] = end;
@@ -618,11 +530,6 @@ impl<B: Behavior> Sim<B> {
         if ctx.finish > 0 {
             rs.finishes_seen += ctx.finish;
             rs.finished = Some(rs.finished.map_or(end, |f| f.max(end)));
-            if let Some(hook) = &mut self.finish_hook {
-                for _ in 0..ctx.finish {
-                    hook(node, end);
-                }
-            }
         }
         let span = rs.next_span;
         rs.next_span += 1;
@@ -643,9 +550,6 @@ impl<B: Behavior> Sim<B> {
         }
         for (to, bytes, msg) in ctx.outbox {
             rs.stats.bytes += bytes;
-            if let Some(b) = rs.breakdown.as_mut() {
-                *b.link_bytes.entry((node, to)).or_insert(0) += bytes;
-            }
             let free = rs.link_free.entry((node, to)).or_insert(0);
             let xfer_start = end.max(*free);
             let model = self.link_overrides.get(&(node, to)).unwrap_or(&self.link);
@@ -772,19 +676,23 @@ mod unit {
     }
 
     #[test]
-    fn finish_hook_sees_every_finish_with_its_time() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let finishes: Rc<RefCell<Vec<(usize, SimTime)>>> = Rc::new(RefCell::new(Vec::new()));
-        let sink = Rc::clone(&finishes);
+    fn tracer_sees_every_finish_with_its_time() {
+        use skypeer_obs::MemTracer;
+        let tracer = Arc::new(MemTracer::new());
         let link = LinkModel { latency_ns: 0, ns_per_byte: 10 };
         let cost = CostModel::Analytic { base_ns: 0, per_test_ns: 0, per_point_ns: 0 };
-        let out = Sim::new(ring(3, 3), link, cost)
-            .with_finish_hook(move |node, at| sink.borrow_mut().push((node, at)))
-            .run(0);
+        let out = Sim::new(ring(3, 3), link, cost).with_tracer(tracer.clone()).run(0);
+        let finishes: Vec<(usize, SimTime)> = tracer
+            .take()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::Finish { node, at, .. } => Some((node, at)),
+                _ => None,
+            })
+            .collect();
         // One finish, at the node 3 hops around the ring, at the same time
         // the stats report.
-        assert_eq!(*finishes.borrow(), vec![(0, 3000)]);
+        assert_eq!(finishes, vec![(0, 3000)]);
         assert_eq!(out.stats.finished_at, Some(3000));
     }
 
@@ -1031,8 +939,9 @@ mod unit {
 }
 
 #[cfg(test)]
-mod breakdown_tests {
+mod registry_tests {
     use super::*;
+    use skypeer_obs::{MemTracer, MetricsRegistry};
 
     struct Fan {
         n: usize,
@@ -1056,47 +965,20 @@ mod breakdown_tests {
     }
 
     #[test]
-    fn breakdown_tracks_nodes_and_links() {
+    fn traced_run_yields_per_node_and_per_link_totals() {
         let cost = CostModel::Analytic { base_ns: 0, per_test_ns: 1, per_point_ns: 0 };
         let nodes: Vec<Fan> = (0..4).map(|_| Fan { n: 4 }).collect();
-        let out = Sim::new(nodes, LinkModel::zero_delay(), cost).with_breakdown().run(0);
-        let b = out.breakdown.expect("breakdown enabled");
-        assert_eq!(b.compute_ns[1], 10);
-        assert_eq!(b.compute_ns[2], 20);
-        assert_eq!(b.compute_ns[3], 30);
-        assert_eq!(b.hottest_node(), Some((3, 30)));
-        assert_eq!(b.link_bytes[&(0, 2)], 200);
-        assert_eq!(b.hottest_link(), Some(((0, 3), 300)));
-        assert_eq!(b.handled[1] + b.handled[2] + b.handled[3], out.stats.messages);
-    }
-
-    #[test]
-    fn breakdown_off_by_default() {
-        let nodes: Vec<Fan> = (0..4).map(|_| Fan { n: 4 }).collect();
-        let out = Sim::new(nodes, LinkModel::zero_delay(), CostModel::default()).run(0);
-        assert!(out.breakdown.is_none());
-    }
-
-    #[test]
-    fn hottest_node_breaks_ties_by_smallest_id() {
-        let b = SimBreakdown {
-            compute_ns: vec![5, 9, 9, 9, 2],
-            handled: vec![0; 5],
-            link_bytes: HashMap::new(),
-        };
-        assert_eq!(b.hottest_node(), Some((1, 9)));
-    }
-
-    #[test]
-    fn hottest_link_breaks_ties_lexicographically() {
-        // All-equal weights: the answer must not depend on HashMap
-        // iteration order.
-        let mut link_bytes = HashMap::new();
-        for l in [(3, 1), (0, 2), (2, 0), (0, 1)] {
-            link_bytes.insert(l, 700u64);
-        }
-        let b = SimBreakdown { compute_ns: vec![], handled: vec![], link_bytes };
-        assert_eq!(b.hottest_link(), Some(((0, 1), 700)));
+        let tracer = Arc::new(MemTracer::new());
+        let out = Sim::new(nodes, LinkModel::zero_delay(), cost).with_tracer(tracer.clone()).run(0);
+        let m = MetricsRegistry::from_events(&tracer.take());
+        assert_eq!(m.per_node[1].service_ns, 10);
+        assert_eq!(m.per_node[2].service_ns, 20);
+        assert_eq!(m.per_node[3].service_ns, 30);
+        assert_eq!(m.hottest_node(), Some((3, 30)));
+        assert_eq!(m.link_bytes[&(0, 2)], 200);
+        assert_eq!(m.hottest_link(), Some(((0, 3), 300)));
+        let handled: u64 = m.per_node.iter().map(|n| n.msgs_in).sum();
+        assert_eq!(handled, out.stats.messages);
     }
 }
 

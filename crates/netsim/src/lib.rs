@@ -39,7 +39,7 @@ pub mod topology;
 pub use skypeer_obs as obs;
 
 pub use cost::CostModel;
-pub use des::{Behavior, Context, LinkModel, Sim, SimBreakdown, SimStats, SimTime};
+pub use des::{Behavior, Context, LinkModel, Sim, SimStats, SimTime};
 pub use topology::{Topology, TopologyModel, TopologySpec};
 
 #[cfg(test)]

@@ -17,9 +17,10 @@ use crate::subspace::Subspace;
 use serde::{Deserialize, Serialize};
 
 /// Which dominance relation a kernel should apply.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Dominance {
     /// Classic skyline dominance: `≤` everywhere, `<` somewhere.
+    #[default]
     Standard,
     /// Extended dominance (paper Definition 1): `<` everywhere.
     Extended,

@@ -75,11 +75,10 @@ fn main() {
 
     println!("\nper-super-peer stores now:");
     for sp in 0..n_sp {
-        let s = runner.store(sp);
         println!(
             "  SP{sp}: {} raw points from peers → {} stored ({} alive)",
-            s.raw_points,
-            s.store.len(),
+            runner.raw_points(sp),
+            runner.store(sp).len(),
             runner.is_alive(sp),
         );
     }

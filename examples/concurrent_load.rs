@@ -7,10 +7,12 @@
 //! cargo run --release --example concurrent_load [batch_size]
 //! ```
 
-use skypeer::core::engine::{EngineConfig, SkypeerEngine};
+use skypeer::core::engine::{EngineConfig, RunOptions, SkypeerEngine};
 use skypeer::core::Variant;
 use skypeer::data::Query;
+use skypeer::netsim::obs::{MemTracer, MetricsRegistry, Tracer};
 use skypeer::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     let max_batch: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(8);
@@ -50,15 +52,25 @@ fn main() {
     println!("\nper-query profile (initiator = SP0):");
     let q = Query { subspace: Subspace::from_dims(&[1, 3, 5]), initiator: 0 };
     for variant in [Variant::Ftfm, Variant::Ftpm] {
-        let p = engine.profile_query(q, variant);
-        let (hot_node, hot_ns) = p.breakdown.hottest_node().expect("nodes exist");
-        let ((from, to), hot_bytes) = p.breakdown.hottest_link().expect("links used");
+        let tracer = Arc::new(MemTracer::new());
+        let opts = RunOptions {
+            tracer: Some(Arc::clone(&tracer) as Arc<dyn Tracer>),
+            ..RunOptions::default()
+        };
+        engine.run(q, variant, &opts);
+        let m = MetricsRegistry::from_events(&tracer.take());
+        let compute: u64 = m.per_node.iter().map(|n| n.service_ns).sum();
+        let inbound: u64 =
+            m.link_bytes.iter().filter(|(&(_, to), _)| to == q.initiator).map(|(_, b)| b).sum();
+        let total: u64 = m.link_bytes.values().sum();
+        let (hot_node, hot_ns) = m.hottest_node().expect("nodes exist");
+        let ((from, to), hot_bytes) = m.hottest_link().expect("links used");
         println!(
             "  {}: initiator does {:.1}% of all compute, takes {:.1} KB inbound of {:.1} KB total; hottest node SP{hot_node} ({:.2} ms), hottest link SP{from}→SP{to} ({:.1} KB)",
             variant.mnemonic(),
-            100.0 * p.initiator_compute_share,
-            p.initiator_inbound_bytes as f64 / 1024.0,
-            p.total_bytes as f64 / 1024.0,
+            100.0 * m.per_node[q.initiator].service_ns as f64 / compute as f64,
+            inbound as f64 / 1024.0,
+            total as f64 / 1024.0,
             hot_ns as f64 / 1e6,
             hot_bytes as f64 / 1024.0,
         );

@@ -1,24 +1,21 @@
 //! Traces every protocol message of one SKYPEER query through the DES:
-//! which super-peer talked to which, what kind of message, how big, and
-//! when (simulated time). A compact way to *see* the spanning tree form,
-//! the threshold travel, and the results flow home.
+//! which super-peer talked to which, how big, and when (simulated time),
+//! interleaved with the protocol's own notes (threshold installs and
+//! refinements, prunes, phase changes). A compact way to *see* the
+//! spanning tree form, the threshold travel, and the results flow home.
 //!
 //! ```text
 //! cargo run --release --example trace_query [variant]
 //! ```
 
-use skypeer::core::msg::Msg;
-use skypeer::core::node::{InitQuery, SuperPeerNode};
-use skypeer::core::preprocess::SuperPeerStore;
-use skypeer::core::Variant;
-use skypeer::data::{DatasetKind, DatasetSpec};
+use skypeer::core::engine::{EngineConfig, RoutingMode, RunOptions};
+use skypeer::data::Query;
 use skypeer::netsim::cost::CostModel;
-use skypeer::netsim::des::{LinkModel, Sim};
+use skypeer::netsim::des::LinkModel;
+use skypeer::netsim::obs::{MemTracer, ProtoEvent, TraceEvent, Tracer};
 use skypeer::netsim::topology::TopologySpec;
 use skypeer::prelude::*;
 use skypeer::skyline::DominanceIndex;
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 fn main() {
@@ -36,78 +33,70 @@ fn main() {
 
     // A small, readable network: 6 super-peers, 2 peers each.
     let n_sp = 6;
-    let topo = TopologySpec::paper_default(n_sp, 7).generate();
-    let spec = DatasetSpec { dim: 4, points_per_peer: 50, kind: DatasetKind::Uniform, seed: 3 };
-    let stores: Vec<Arc<_>> = (0..n_sp)
-        .map(|sp| {
-            let sets: Vec<_> = (0..2).map(|i| spec.generate_peer(sp * 2 + i, sp)).collect();
-            Arc::new(SuperPeerStore::preprocess(&sets, 4, DominanceIndex::Linear).store)
-        })
-        .collect();
+    let engine = SkypeerEngine::build(EngineConfig {
+        n_peers: 2 * n_sp,
+        n_superpeers: n_sp,
+        dataset: DatasetSpec { dim: 4, points_per_peer: 50, kind: DatasetKind::Uniform, seed: 3 },
+        topology: TopologySpec::paper_default(n_sp, 7),
+        index: DominanceIndex::Linear,
+        cost: CostModel::default(),
+        link: LinkModel::paper_4kbps(),
+        routing: RoutingMode::Flood,
+    });
     println!("topology:");
-    for (sp, store) in stores.iter().enumerate() {
-        println!("  SP{sp} ↔ {:?}  (store: {} points)", topo.neighbors(sp), store.len());
+    for sp in 0..n_sp {
+        let store = engine.store(sp);
+        println!(
+            "  SP{sp} ↔ {:?}  (store: {} points)",
+            engine.topology().neighbors(sp),
+            store.len()
+        );
     }
 
-    let subspace = Subspace::from_dims(&[0, 2]);
-    let initiator = 0;
-    println!("\nquery: skyline on {subspace}, initiator SP{initiator}, variant {variant}\n");
+    let query = Query { subspace: Subspace::from_dims(&[0, 2]), initiator: 0 };
+    println!(
+        "\nquery: skyline on {}, initiator SP{}, variant {variant}\n",
+        query.subspace, query.initiator
+    );
+    let tracer = Arc::new(MemTracer::new());
+    let opts = RunOptions {
+        tracer: Some(Arc::clone(&tracer) as Arc<dyn Tracer>),
+        ..RunOptions::default()
+    };
+    let out = engine.run(query, variant, &opts);
 
-    let nodes: Vec<SuperPeerNode> = (0..n_sp)
-        .map(|sp| {
-            let init = (sp == initiator).then_some(InitQuery::standard(1, subspace, variant));
-            SuperPeerNode::new(
-                sp,
-                topo.neighbors(sp).to_vec(),
-                Arc::clone(&stores[sp]),
-                DominanceIndex::Linear,
-                init,
-            )
-        })
-        .collect();
-
-    let log: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
-    let log_ref = Rc::clone(&log);
-    let out = Sim::new(nodes, LinkModel::paper_4kbps(), CostModel::default())
-        .with_trace_hook(move |time, from, to, raw| {
-            let what = match Msg::decode(raw) {
-                Some(Msg::Query { threshold, .. }) => {
-                    format!("QUERY    t={threshold:.3}")
-                }
-                Some(Msg::Answer { done, complete, points, .. }) => format!(
-                    "ANSWER   {} points{}{}",
-                    points.len(),
-                    if done { ", subtree done" } else { "" },
-                    if complete { "" } else { ", INCOMPLETE" },
-                ),
-                Some(Msg::DupAck { .. }) => "DUP-ACK  (not your child)".to_string(),
-                Some(Msg::ComputeLocal { .. }) => "compute  (local, deferred)".to_string(),
-                Some(Msg::SampleQuery { filter, .. }) => {
-                    format!("SAMPLE-Q {} filter points", filter.len())
-                }
-                Some(Msg::Candidates { points, .. }) => {
-                    format!("CANDS    {} points", points.len())
-                }
-                None => "???".to_string(),
-            };
-            log_ref.borrow_mut().push(format!(
-                "t={:>9.3}ms  SP{from} → SP{to:<2} {:>4}B  {what}",
-                time as f64 / 1e6,
-                raw.len(),
-            ));
-        })
-        .run(initiator);
-
-    for line in log.borrow().iter() {
-        println!("{line}");
+    let ms = |t: u64| t as f64 / 1e6;
+    for ev in tracer.take() {
+        match ev {
+            TraceEvent::Send { from, to, bytes, sent_at, arrive_at, .. } => println!(
+                "t={:>9.3}ms  SP{from} → SP{to:<2} {bytes:>5}B  send, arrives t={:.3}ms",
+                ms(sent_at),
+                ms(arrive_at),
+            ),
+            TraceEvent::Deliver { at, from, to, .. } => {
+                println!("t={:>9.3}ms  SP{from} → SP{to:<2}         delivered", ms(at))
+            }
+            TraceEvent::Proto { node, at, event, .. } => {
+                let what = match event {
+                    ProtoEvent::ThresholdInstall { value, .. } => {
+                        format!("threshold installed: {value:.3}")
+                    }
+                    ProtoEvent::ThresholdRefine { old, new, .. } => {
+                        format!("threshold refined: {old:.3} → {new:.3}")
+                    }
+                    ProtoEvent::Prune { pruned, .. } => format!("pruned {pruned} points"),
+                    ProtoEvent::Phase { phase, .. } => format!("phase {phase:?}"),
+                };
+                println!("t={:>9.3}ms  SP{node:<12} {what}", ms(at));
+            }
+            _ => {}
+        }
     }
-    let answer =
-        out.nodes.into_iter().nth(initiator).expect("initiator").into_outcome().expect("done");
     println!(
         "\nfinished at t={:.3}ms: {} skyline points, {} messages, {} bytes",
-        out.stats.finished_at.expect("finished") as f64 / 1e6,
-        answer.result.len(),
-        out.stats.messages,
-        out.stats.bytes,
+        out.total_time_ns as f64 / 1e6,
+        out.result_ids.len(),
+        out.messages,
+        out.volume_bytes,
     );
 }

@@ -1,7 +1,7 @@
 //! Concurrent-query batches: many queries in flight through one
 //! simulation, sharing node compute and link bandwidth.
 
-use skypeer::core::engine::{EngineConfig, SkypeerEngine};
+use skypeer::core::engine::{EngineConfig, RunOptions, SkypeerEngine};
 use skypeer::core::Variant;
 use skypeer::data::{DatasetKind, DatasetSpec, Query, WorkloadSpec};
 use skypeer::netsim::cost::CostModel;
@@ -31,7 +31,7 @@ fn concurrent_answers_equal_serial_answers() {
     let concurrent = engine.run_concurrent(&batch);
     assert_eq!(concurrent.result_ids.len(), 6);
     for (i, q) in workload.iter().enumerate() {
-        let serial = engine.run_query(*q, Variant::Ftpm);
+        let serial = engine.run(*q, Variant::Ftpm, &RunOptions::default());
         assert_eq!(concurrent.result_ids[i], serial.result_ids, "query {i} diverged");
     }
 }
@@ -72,7 +72,7 @@ fn contention_makes_batches_slower_than_one_query_but_faster_than_serial_sum() {
     let u = Subspace::from_dims(&[0, 1, 2]);
     let queries: Vec<(Query, Variant)> =
         (0..4).map(|i| (Query { subspace: u, initiator: i * 2 }, Variant::Ftpm)).collect();
-    let lone = engine.run_query(queries[0].0, Variant::Ftpm);
+    let lone = engine.run(queries[0].0, Variant::Ftpm, &RunOptions::default());
     let batch = engine.run_concurrent(&queries);
     assert!(
         batch.makespan_ns >= lone.total_time_ns,
@@ -80,7 +80,8 @@ fn contention_makes_batches_slower_than_one_query_but_faster_than_serial_sum() {
         batch.makespan_ns,
         lone.total_time_ns
     );
-    let serial_sum: u64 = queries.iter().map(|(q, v)| engine.run_query(*q, *v).total_time_ns).sum();
+    let serial_sum: u64 =
+        queries.iter().map(|(q, v)| engine.run(*q, *v, &RunOptions::default()).total_time_ns).sum();
     assert!(
         batch.makespan_ns < serial_sum,
         "concurrency must beat running the batch back-to-back ({} >= {serial_sum})",
@@ -92,11 +93,12 @@ fn contention_makes_batches_slower_than_one_query_but_faster_than_serial_sum() {
 fn batch_of_one_equals_single_query() {
     let engine = engine(5);
     let q = Query { subspace: Subspace::from_dims(&[2, 4]), initiator: 1 };
-    let single = engine.run_query(q, Variant::Rtpm);
+    let single = engine.run(q, Variant::Rtpm, &RunOptions::default());
     let batch = engine.run_concurrent(&[(q, Variant::Rtpm)]);
     assert_eq!(batch.result_ids[0], single.result_ids);
     assert_eq!(batch.makespan_ns, single.total_time_ns);
     assert_eq!(batch.volume_bytes, single.volume_bytes);
+    assert_eq!(batch.finish_times_ns, vec![single.total_time_ns]);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! ("we will investigate how churn, in particular peer failure, affects
 //! the performance of SKYPEER"), implemented and characterized here.
 
-use skypeer::core::engine::{EngineConfig, SkypeerEngine};
+use skypeer::core::engine::{EngineConfig, QueryOutcome, RunOptions, SkypeerEngine};
 use skypeer::core::Variant;
 use skypeer::data::{DatasetKind, DatasetSpec, Query};
 use skypeer::netsim::cost::CostModel;
@@ -27,12 +27,28 @@ fn engine(seed: u64) -> SkypeerEngine {
     })
 }
 
+/// One query while `failures` crash super-peers, with every survivor
+/// abandoning children silent for [`TIMEOUT_NS`].
+fn run_with_failures(
+    engine: &SkypeerEngine,
+    q: Query,
+    variant: Variant,
+    failures: &[(usize, u64)],
+) -> QueryOutcome {
+    let opts = RunOptions {
+        failures: failures.to_vec(),
+        child_timeout_ns: Some(TIMEOUT_NS),
+        ..RunOptions::default()
+    };
+    engine.run(q, variant, &opts)
+}
+
 #[test]
 fn no_failures_means_complete_and_exact() {
     let engine = engine(1);
     let q = Query { subspace: Subspace::from_dims(&[0, 2]), initiator: 0 };
     for variant in Variant::ALL {
-        let out = engine.run_query_with_failures(q, variant, &[], TIMEOUT_NS);
+        let out = run_with_failures(&engine, q, variant, &[]);
         assert!(out.complete, "{variant}");
         assert_eq!(out.result_ids, engine.centralized_skyline(q.subspace), "{variant}");
     }
@@ -46,7 +62,7 @@ fn crashed_superpeer_yields_incomplete_but_terminating_query() {
     // Crash a non-initiator super-peer from the start.
     for victim in 1..engine.config().n_superpeers {
         for variant in [Variant::Ftpm, Variant::Rtfm] {
-            let out = engine.run_query_with_failures(q, variant, &[(victim, 0)], TIMEOUT_NS);
+            let out = run_with_failures(&engine, q, variant, &[(victim, 0)]);
             assert!(!out.complete, "victim {victim} {variant}: lost subtree must be reported");
             // The degraded answer is the exact skyline of the surviving
             // stores; at minimum it cannot invent points from nowhere.
@@ -80,7 +96,7 @@ fn mid_query_crash_still_terminates() {
     let q = Query { subspace: Subspace::from_dims(&[0, 1, 2]), initiator: 2 };
     // Crash a node 2 simulated seconds in — after it likely received the
     // query but before large transfers complete.
-    let out = engine.run_query_with_failures(q, Variant::Ftfm, &[(5, 2_000_000_000)], TIMEOUT_NS);
+    let out = run_with_failures(&engine, q, Variant::Ftfm, &[(5, 2_000_000_000)]);
     assert!(out.total_time_ns > 0);
     // Whether the crash bites depends on the spanning tree; in either case
     // the query terminated and the flag is consistent with exactness.
@@ -93,7 +109,7 @@ fn mid_query_crash_still_terminates() {
 fn incomplete_answer_is_subset_of_survivor_skyline_union() {
     let engine = engine(4);
     let q = Query { subspace: Subspace::full(4), initiator: 0 };
-    let out = engine.run_query_with_failures(q, Variant::Rtpm, &[(3, 0), (6, 0)], TIMEOUT_NS);
+    let out = run_with_failures(&engine, q, Variant::Rtpm, &[(3, 0), (6, 0)]);
     assert!(!out.complete);
     // Every returned point must come from a surviving super-peer's store.
     let mut survivor_ids: Vec<u64> = (0..engine.config().n_superpeers)
@@ -114,11 +130,11 @@ fn multiple_failures_every_variant_terminates() {
     let engine = engine(5);
     let q = Query { subspace: Subspace::from_dims(&[1, 2]), initiator: 1 };
     for variant in Variant::ALL {
-        let out = engine.run_query_with_failures(
+        let out = run_with_failures(
+            &engine,
             q,
             variant,
             &[(0, 0), (4, 1_000_000_000), (7, 5_000_000_000)],
-            TIMEOUT_NS,
         );
         assert!(!out.result_ids.is_empty() || out.result.is_empty(), "{variant} terminated");
     }
@@ -128,8 +144,8 @@ fn multiple_failures_every_variant_terminates() {
 fn timeout_cost_shows_up_in_response_time() {
     let engine = engine(6);
     let q = Query { subspace: Subspace::from_dims(&[0, 3]), initiator: 0 };
-    let healthy = engine.run_query_with_failures(q, Variant::Ftpm, &[], TIMEOUT_NS);
-    let degraded = engine.run_query_with_failures(q, Variant::Ftpm, &[(2, 0)], TIMEOUT_NS);
+    let healthy = run_with_failures(&engine, q, Variant::Ftpm, &[]);
+    let degraded = run_with_failures(&engine, q, Variant::Ftpm, &[(2, 0)]);
     if !degraded.complete {
         assert!(
             degraded.total_time_ns >= TIMEOUT_NS.min(healthy.total_time_ns),
